@@ -22,14 +22,12 @@ from .braces import (
     brace_from_radical_ring,
     find_brace_isomorphism,
     is_two_sided,
-    lambda_map,
     make_almost_trivial_brace,
     make_exact_factorization,
     make_trivial_brace,
     right_nilpotency,
     ring_from_two_sided,
     solution_order_check,
-    star,
     verify_brace,
 )
 from .enumeration import (
@@ -49,7 +47,6 @@ from .solutions import (
     canonical_form,
     find_isomorphism,
     is_indecomposable,
-    is_involutive,
     make_alexander,
     make_conjugation,
     make_core,

@@ -16,7 +16,7 @@ from itertools import permutations
 
 from . import groups, solutions
 from .groups import FiniteGroup
-from .perms import Perm
+from .perms import Perm, lex_min_relabeling, tables_from_bytes
 from .solutions import Solution
 
 
@@ -51,23 +51,11 @@ class SkewBrace:
 
     @cached_property
     def neg(self) -> tuple[int, ...]:
-        out = [0] * self.size
-        for a in range(self.size):
-            for b in range(self.size):
-                if self.add[a][b] == 0:
-                    out[a] = b
-                    break
-        return tuple(out)
+        return groups.table_inverses(self.add)
 
     @cached_property
     def circ_inv(self) -> tuple[int, ...]:
-        out = [0] * self.size
-        for a in range(self.size):
-            for b in range(self.size):
-                if self.mul[a][b] == 0:
-                    out[a] = b
-                    break
-        return tuple(out)
+        return groups.table_inverses(self.mul)
 
     @cached_property
     def is_abelian_type(self) -> bool:
@@ -81,16 +69,6 @@ class SkewBrace:
     def star(self, a: int, b: int) -> int:
         """a * b = lambda_a(b) - b."""
         return self.add[self.lam(a)[b]][self.neg[b]]
-
-
-def lambda_map(A: SkewBrace, a: int) -> Perm:
-    """Module-level spelling of A.lam(a)."""
-    return A.lam(a)
-
-
-def star(A: SkewBrace, a: int, b: int) -> int:
-    """Module-level spelling of A.star(a, b)."""
-    return A.star(a, b)
 
 
 def additive_group(A: SkewBrace) -> FiniteGroup:
@@ -119,12 +97,7 @@ def diagnose_brace(add, mul) -> BraceDiagnostic | None:
         return BraceDiagnostic(
             "multiplicative-group", f"(A,o) is not a group: {reason}"
         )
-    neg = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if add[a][b] == 0:
-                neg[a] = b
-                break
+    neg = groups.table_inverses(add)
     for a in range(n):
         na = neg[a]
         for b in range(n):
@@ -223,13 +196,7 @@ class FiniteRing:
 
     @cached_property
     def neg(self) -> tuple[int, ...]:
-        out = [0] * self.size
-        for a in range(self.size):
-            for b in range(self.size):
-                if self.add[a][b] == 0:
-                    out[a] = b
-                    break
-        return tuple(out)
+        return groups.table_inverses(self.add)
 
     def circle(self, x: int, y: int) -> int:
         """x o y = x + xy + y."""
@@ -512,45 +479,13 @@ def solution_order_check(A: SkewBrace) -> tuple[int, int]:
 
 def brace_canonical_form(A: SkewBrace) -> bytes:
     """Least serialization of (add, mul) over relabelings fixing 0."""
-    n = A.size
-    if n > 255:
-        raise ValueError("brace_canonical_form supports sizes up to 255")
-    best: list[int] | None = None
-    for rest in permutations(range(1, n)):
-        f = (0,) + rest
-        finv = [0] * n
-        for i, v in enumerate(f):
-            finv[v] = i
-        flat: list[int] = []
-        worse = False
-        for fam in (A.add, A.mul):
-            for i in range(n):
-                row = fam[finv[i]]
-                flat.extend(f[row[finv[j]]] for j in range(n))
-                if best is not None and flat > best[: len(flat)]:
-                    worse = True
-                    break
-            if worse:
-                break
-        if worse:
-            continue
-        if best is None or flat < best:
-            best = flat
-    assert best is not None
-    return bytes(best)
+    fixing_zero = ((0,) + rest for rest in permutations(range(1, A.size)))
+    return lex_min_relabeling((A.add, A.mul), fixing_zero)
 
 
 def brace_from_canonical(blob: bytes) -> SkewBrace:
-    m = len(blob)
-    n = round((m / 2) ** 0.5)
-    if 2 * n * n != m:
-        raise ValueError("byte string has no valid brace shape")
-    vals = list(blob)
-    add = tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(n))
-    mul = tuple(
-        tuple(vals[n * n + i * n : n * n + (i + 1) * n]) for i in range(n)
-    )
-    return verify_brace(add, mul)
+    """Rebuild and verify a SkewBrace from a brace_canonical_form byte string."""
+    return verify_brace(*tables_from_bytes(blob, 2))
 
 
 def find_brace_isomorphism(A: SkewBrace, B: SkewBrace) -> Perm | None:

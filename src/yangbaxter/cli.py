@@ -32,20 +32,45 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _load(path: str):
-    return fileio.parse_file(path)
+def _report_text(report: dict) -> str:
+    return "\n".join(f"{k}: {str(v).lower() if isinstance(v, bool) else v}"
+                     for k, v in report.items())
 
 
-def cmd_verify(args) -> int:
+def _load_or_emit(args):
+    """(record, None), or (None, exit code) once the failure went through _emit."""
     try:
-        record = _load(args.path)
+        return fileio.parse_file(args.path), None
     except fileio.ParseError as exc:
         _emit(args, {"ok": False, "error": str(exc)}, f"parse error: {exc}")
-        return 2
+        return None, 2
     except (solutions.InvalidSolutionError, braces_mod.InvalidBraceError,
             braces_mod.InvalidRingError) as exc:
         _emit(args, {"ok": False, "diagnostic": str(exc)}, f"invalid: {exc}")
-        return 1
+        return None, 1
+
+
+def _load_involutive_solution(args):
+    """(solution, None), or (None, exit code) once the failure went to stderr."""
+    try:
+        record = fileio.parse_file(args.path)
+        if not isinstance(record, Solution):
+            raise ValueError("this command expects a solution file")
+        if not record.involutive:
+            raise ValueError("this command requires an involutive solution")
+    except fileio.ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return None, 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 1
+    return record, None
+
+
+def cmd_verify(args) -> int:
+    record, code = _load_or_emit(args)
+    if code is not None:
+        return code
     if isinstance(record, Solution):
         _emit(
             args,
@@ -77,36 +102,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        record = _load(args.path)
-    except fileio.ParseError as exc:
-        _emit(args, {"ok": False, "error": str(exc)}, f"parse error: {exc}")
-        return 2
-    except (solutions.InvalidSolutionError, braces_mod.InvalidBraceError,
-            braces_mod.InvalidRingError) as exc:
-        _emit(args, {"ok": False, "diagnostic": str(exc)}, f"invalid: {exc}")
-        return 1
+    record, code = _load_or_emit(args)
+    if code is not None:
+        return code
     if isinstance(record, Solution):
-        report = solutions.analyze(record).as_dict()
-        _emit(
-            args,
-            {"ok": True, "kind": "solution", **report},
-            "\n".join(f"{k}: {str(v).lower() if isinstance(v, bool) else v}"
-                      for k, v in report.items()),
-        )
-        return 0
-    if isinstance(record, SkewBrace):
-        report = braces_mod.analyze_brace(record).as_dict()
-        _emit(
-            args,
-            {"ok": True, "kind": "brace", **report},
-            "\n".join(f"{k}: {str(v).lower() if isinstance(v, bool) else v}"
-                      for k, v in report.items()),
-        )
-        return 0
-    _emit(args, {"ok": False, "error": "analyze expects a solution or brace"},
-          "analyze expects a solution or brace")
-    return 1
+        kind, report = "solution", solutions.analyze(record).as_dict()
+    elif isinstance(record, SkewBrace):
+        kind, report = "brace", braces_mod.analyze_brace(record).as_dict()
+    else:
+        _emit(args, {"ok": False, "error": "analyze expects a solution or brace"},
+              "analyze expects a solution or brace")
+        return 1
+    _emit(args, {"ok": True, "kind": kind, **report}, _report_text(report))
+    return 0
 
 
 def cmd_enumerate(args) -> int:
@@ -114,7 +122,6 @@ def cmd_enumerate(args) -> int:
     task = enumeration.EnumerationTask(
         size=args.size,
         mode="involutive" if args.involutive else "all",
-        count_only=args.count_only,
         jobs=args.jobs,
         cap=args.cap,
         time_budget=args.time_budget,
@@ -163,24 +170,10 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _load_involutive_solution(args):
-    record = _load(args.path)
-    if not isinstance(record, Solution):
-        raise ValueError("this command expects a solution file")
-    if not record.involutive:
-        raise ValueError("this command requires an involutive solution")
-    return record
-
-
 def cmd_repr(args) -> int:
-    try:
-        record = _load_involutive_solution(args)
-    except fileio.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, solutions.InvalidSolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    record, code = _load_involutive_solution(args)
+    if code is not None:
+        return code
     gens = structgroup.affine_representation(record)
     for i, g in enumerate(gens):
         print(f"x_{i + 1}:")
@@ -190,14 +183,9 @@ def cmd_repr(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    try:
-        record = _load_involutive_solution(args)
-    except fileio.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, solutions.InvalidSolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    record, code = _load_involutive_solution(args)
+    if code is not None:
+        return code
     growth = structgroup.ball_sizes(record, args.radius)
     for k, v in enumerate(growth.values):
         print(f"{k} {v}")
@@ -217,14 +205,9 @@ def cmd_growth(args) -> int:
 
 
 def cmd_upp(args) -> int:
-    try:
-        record = _load_involutive_solution(args)
-    except fileio.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, solutions.InvalidSolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    record, code = _load_involutive_solution(args)
+    if code is not None:
+        return code
     try:
         wx = structgroup.parse_word(args.x)
         wy = structgroup.parse_word(args.y)
@@ -247,7 +230,7 @@ def cmd_upp(args) -> int:
 
 def cmd_brace(args) -> int:
     try:
-        record = _load(args.path)
+        record = fileio.parse_file(args.path)
     except fileio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -269,9 +252,7 @@ def cmd_brace(args) -> int:
         if not isinstance(record, SkewBrace):
             print("error: not a brace file", file=sys.stderr)
             return 1
-        report = braces_mod.analyze_brace(record).as_dict()
-        for k, v in report.items():
-            print(f"{k}: {str(v).lower() if isinstance(v, bool) else v}")
+        print(_report_text(braces_mod.analyze_brace(record).as_dict()))
         return 0
     if args.action == "solution":
         if not isinstance(record, SkewBrace):

@@ -23,7 +23,8 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cached_property
+from itertools import permutations, product
 from pathlib import Path
 
 from . import braces as braces_mod
@@ -61,7 +62,6 @@ class EnumerationTask:
     mode: str = "involutive"  # "involutive" | "all"
     indecomposable: bool | None = None
     multipermutation: bool | None = None
-    count_only: bool = False
     jobs: int = 1
     cap: int | None = None
     time_budget: float | None = None
@@ -94,8 +94,9 @@ class EnumerationResult:
     canonicals: list[bytes]
     filtered: bool = False
 
-    @property
+    @cached_property
     def classes(self) -> list[Solution]:
+        """The classes rebuilt (and verified) from their canonical bytes, once."""
         return [solutions.solution_from_canonical(b) for b in self.canonicals]
 
     @property
@@ -567,8 +568,9 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
                 is_mp = solutions.multipermutation_level(sol) is not None
                 if is_mp != task.multipermutation:
                     continue
-            keep.append(blob)
-        return EnumerationResult(n, task.mode, keep, filtered=True)
+            keep.append((blob, sol))
+        result = EnumerationResult(n, task.mode, [b for b, _ in keep], filtered=True)
+        result.classes = [sol for _, sol in keep]  # already rebuilt above
     return result
 
 
@@ -585,20 +587,11 @@ def brute_force_solutions(n: int) -> list[bytes]:
         raise ValueError("the brute-force oracle is meant for n <= 3")
     perms = all_perms(n)
     found: set[bytes] = set()
-    for sigma in permutations_with_repetition(perms, n):
-        for tau in permutations_with_repetition(perms, n):
+    for sigma in product(perms, repeat=n):
+        for tau in product(perms, repeat=n):
             if solutions.diagnose(n, sigma, tau) is None:
                 found.add(solutions.canonical_form(Solution(n, sigma, tau)))
     return sorted(found)
-
-
-def permutations_with_repetition(pool, length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in pool:
-        for rest in permutations_with_repetition(pool, length - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------

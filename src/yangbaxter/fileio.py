@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .braces import FiniteRing, SkewBrace, verify_brace, verify_ring
+from .perms import relabel_table
 from .solutions import Solution, verify
 
 SCHEMA_VERSION = 1
@@ -34,28 +35,25 @@ class SolutionStream:
     solutions: list[Solution]
 
 
-def solution_to_text(s: Solution) -> str:
-    lines = [f"kind: solution", f"size: {s.size}", "sigma:"]
-    lines += [" ".join(str(v) for v in row) for row in s.sigma]
-    lines.append("tau:")
-    lines += [" ".join(str(v) for v in row) for row in s.tau]
+def _record_text(kind: str, size: int, sections) -> str:
+    """A record: its kind and size, then each (name, table) section."""
+    lines = [f"kind: {kind}", f"size: {size}"]
+    for name, table in sections:
+        lines.append(f"{name}:")
+        lines += [" ".join(str(v) for v in row) for row in table]
     return "\n".join(lines) + "\n"
+
+
+def solution_to_text(s: Solution) -> str:
+    return _record_text("solution", s.size, (("sigma", s.sigma), ("tau", s.tau)))
 
 
 def brace_to_text(A: SkewBrace) -> str:
-    lines = [f"kind: brace", f"size: {A.size}", "add:"]
-    lines += [" ".join(str(v) for v in row) for row in A.add]
-    lines.append("mul:")
-    lines += [" ".join(str(v) for v in row) for row in A.mul]
-    return "\n".join(lines) + "\n"
+    return _record_text("brace", A.size, (("add", A.add), ("mul", A.mul)))
 
 
 def ring_to_text(R: FiniteRing) -> str:
-    lines = [f"kind: ring", f"size: {R.size}", "add:"]
-    lines += [" ".join(str(v) for v in row) for row in R.add]
-    lines.append("prod:")
-    lines += [" ".join(str(v) for v in row) for row in R.prod]
-    return "\n".join(lines) + "\n"
+    return _record_text("ring", R.size, (("add", R.add), ("prod", R.prod)))
 
 
 def stream_to_text(header: StreamHeader, sols) -> str:
@@ -130,19 +128,22 @@ def _parse_block(lines: list[str]):
         add, mul = table("add"), table("mul")
         shared = _shared_identity(add, mul)
         if shared is not None and shared != 0:
-            add = _relabel_table(add, shared)
-            mul = _relabel_table(mul, shared)
+            # swap labels 0 and the shared identity
+            swap = list(range(size))
+            swap[0], swap[shared] = shared, 0
+            add, mul = relabel_table(add, swap), relabel_table(mul, swap)
         return verify_brace(add, mul)
     if kind == "ring":
         return verify_ring(size, table("add"), table("prod"), require_radical=False)
     if kind == "enumeration-stream":
         known = {"kind", "schema", "size", "mode", "count"}
         extra = {k: v for k, v in meta.items() if k not in known}
+        try:
+            count = int(meta["count"])
+        except (KeyError, ValueError) as exc:
+            raise ParseError("stream header is missing a valid count") from exc
         return StreamHeader(
-            size=size,
-            mode=meta.get("mode", "involutive"),
-            count=int(meta.get("count", "0")),
-            meta=extra,
+            size=size, mode=meta.get("mode", "involutive"), count=count, meta=extra
         )
     raise ParseError(f"unknown record kind {kind!r}")
 
@@ -163,16 +164,6 @@ def _shared_identity(add, mul) -> int | None:
     return None
 
 
-def _relabel_table(rows, e: int):
-    """Swap labels 0 and e so the shared identity lands on index 0."""
-    n = len(rows)
-    f = list(range(n))
-    f[0], f[e] = e, 0
-    return [
-        tuple(f[rows[f[i]][f[j]]] for j in range(n)) for i in range(n)
-    ]
-
-
 def parse_text(text: str):
     """Parse a single record or a stream; returns the matching object."""
     blocks = _record_blocks(text)
@@ -186,7 +177,7 @@ def parse_text(text: str):
             if not isinstance(record, Solution):
                 raise ParseError("stream records must be solutions")
             sols.append(record)
-        if first.count and first.count != len(sols):
+        if first.count != len(sols):
             raise ParseError(
                 f"stream header announces {first.count} records, found {len(sols)}"
             )

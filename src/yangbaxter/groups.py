@@ -56,6 +56,11 @@ def table_diagnostic(table) -> str | None:
     return None
 
 
+def table_inverses(table) -> tuple[int, ...]:
+    """For each a, the first b with table[a][b] = 0, the identity."""
+    return tuple(row.index(0) for row in table)
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """Multiplication table with identity 0 and precomputed inverses.
@@ -104,15 +109,8 @@ def from_table(table) -> FiniteGroup:
     reason = table_diagnostic(table)
     if reason is not None:
         raise NotAGroupError(reason)
-    n = len(table)
     rows = tuple(tuple(row) for row in table)
-    inv = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if rows[a][b] == 0:
-                inv[a] = b
-                break
-    return FiniteGroup(n, rows, tuple(inv))
+    return FiniteGroup(len(rows), rows, table_inverses(rows))
 
 
 def generate(generators, degree: int | None = None) -> FiniteGroup:

@@ -1,4 +1,9 @@
-"""Permutations of {0, ..., n-1} stored as image tuples: p[i] is the image of i."""
+"""Permutations of {0, ..., n-1} stored as image tuples: p[i] is the image of i.
+
+Solutions (sigma, tau) and braces (add, mul) are both pairs of n x n tables
+on the points, classified up to relabelling; the table helpers at the end
+relabel such tables, serialize them canonically and decode them again.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import itertools
 import re
 
 Perm = tuple[int, ...]
+Table = tuple[tuple[int, ...], ...]
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -28,15 +34,6 @@ def invert(p: Perm) -> Perm:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
-
-
-def apply_power(p: Perm, k: int) -> Perm:
-    if k < 0:
-        return apply_power(invert(p), -k)
-    result = identity(len(p))
-    for _ in range(k):
-        result = compose(p, result)
-    return result
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:
@@ -121,3 +118,53 @@ def to_cycles(p: Perm, one_based: bool = True) -> str:
 def all_perms(n: int) -> list[Perm]:
     """All permutations of n points in lexicographic order (identity first)."""
     return list(itertools.permutations(range(n)))
+
+
+# ---------------------------------------------------------------------------
+# Square tables on the points: relabelling and canonical serialization
+
+
+def relabel_table(table, f: Perm) -> Table:
+    """Transport a table along f: entry (f[i], f[j]) becomes f[table[i][j]]."""
+    finv = invert(f)
+    return tuple(tuple(f[table[i][j]] for j in finv) for i in finv)
+
+
+def lex_min_relabeling(tables, relabelings) -> bytes:
+    """Least row-by-row serialization of the relabelled tables over `relabelings`.
+
+    Rows are compared incrementally, so most relabelings are abandoned after
+    a row or two.
+    """
+    if len(tables[0]) > 255:
+        raise ValueError("canonical serialization supports sizes up to 255")
+    best: list[int] | None = None
+
+    def serialize(f: Perm) -> list[int] | None:
+        finv = invert(f)
+        flat: list[int] = []
+        for table in tables:
+            for i in finv:
+                row = table[i]
+                flat.extend([f[row[j]] for j in finv])
+                # once flat is lexicographically ahead it stays ahead, so
+                # comparing against the prefix of best is enough to abandon
+                if best is not None and flat > best[: len(flat)]:
+                    return None
+        return flat
+
+    for f in relabelings:
+        flat = serialize(f)
+        if flat is not None:
+            best = flat
+    assert best is not None
+    return bytes(best)
+
+
+def tables_from_bytes(blob: bytes, count: int) -> tuple[Table, ...]:
+    """Split a serialization back into `count` square tables."""
+    n = round((len(blob) / count) ** 0.5)
+    if count * n * n != len(blob):
+        raise ValueError(f"byte string does not split into {count} square tables")
+    rows = [tuple(blob[i * n : (i + 1) * n]) for i in range(count * n)]
+    return tuple(tuple(rows[t * n : (t + 1) * n]) for t in range(count))

@@ -29,6 +29,9 @@ from .perms import (
     invert,
     is_full_cycle,
     is_perm,
+    lex_min_relabeling,
+    relabel_table,
+    tables_from_bytes,
 )
 
 
@@ -133,10 +136,6 @@ def verify(size: int, sigma, tau) -> Solution:
     if diag is not None:
         raise InvalidSolutionError(diag)
     return Solution(size, sigma, tau)
-
-
-def is_involutive(s: Solution) -> bool:
-    return s.involutive
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +327,7 @@ def multipermutation_level(s: Solution) -> int | None:
 
 def relabel(s: Solution, f: Perm) -> Solution:
     """Transport s along the bijection f (new point f[x] behaves like old x)."""
-    n = s.size
-    finv = invert(f)
-    sigma = tuple(
-        tuple(f[s.sigma[finv[i]][finv[j]]] for j in range(n)) for i in range(n)
-    )
-    tau = tuple(
-        tuple(f[s.tau[finv[i]][finv[j]]] for j in range(n)) for i in range(n)
-    )
-    return Solution(n, sigma, tau)
+    return Solution(s.size, relabel_table(s.sigma, f), relabel_table(s.tau, f))
 
 
 def _point_invariant(s: Solution, x: int) -> tuple:
@@ -403,49 +394,15 @@ def is_isomorphic(s: Solution, t: Solution) -> bool:
 def canonical_form(s: Solution) -> bytes:
     """Lexicographically least serialization of (sigma, tau) over all relabelings.
 
-    Two solutions get equal strings exactly when they are isomorphic.  Rows
-    are compared incrementally so most relabelings are abandoned early.
+    Two solutions get equal strings exactly when they are isomorphic.
     """
-    n = s.size
-    if n > 255:
-        raise ValueError("canonical_form supports sizes up to 255")
-    sigma, tau = s.sigma, s.tau
-    best: list[int] | None = None
-    for f in itertools.permutations(range(n)):
-        finv = invert(f)
-        flat: list[int] = []
-        worse = False
-        for fam in (sigma, tau):
-            for i in range(n):
-                row = fam[finv[i]]
-                flat.extend(f[row[finv[j]]] for j in range(n))
-                # once flat is lexicographically ahead it stays ahead, so
-                # comparing against the prefix of best is enough to abandon
-                if best is not None and flat > best[: len(flat)]:
-                    worse = True
-                    break
-            if worse:
-                break
-        if worse:
-            continue
-        if best is None or flat < best:
-            best = flat
-    assert best is not None
-    return bytes(best)
+    return lex_min_relabeling((s.sigma, s.tau), itertools.permutations(range(s.size)))
 
 
 def solution_from_canonical(blob: bytes) -> Solution:
-    """Rebuild a Solution from a canonical_form byte string."""
-    m = len(blob)
-    n = round((m / 2) ** 0.5)
-    if 2 * n * n != m:
-        raise ValueError("byte string has no valid solution shape")
-    vals = list(blob)
-    sigma = tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(n))
-    tau = tuple(
-        tuple(vals[n * n + i * n : n * n + (i + 1) * n]) for i in range(n)
-    )
-    return verify(n, sigma, tau)
+    """Rebuild and verify a Solution from a canonical_form byte string."""
+    sigma, tau = tables_from_bytes(blob, 2)
+    return verify(len(sigma), sigma, tau)
 
 
 @dataclass(frozen=True)

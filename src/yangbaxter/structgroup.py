@@ -100,10 +100,6 @@ def parse_word(text: str) -> Word:
     return tuple(out)
 
 
-def format_word(word: Word) -> str:
-    return " ".join(f"{abs(i)}'" if i < 0 else str(i) for i in word)
-
-
 def eval_word(gens, word: Word):
     """Exact product of generators (1-based, negative = inverse)."""
     if not gens:
@@ -146,13 +142,13 @@ def ball_sizes(
 def ball_sizes_via_matrices(
     s: Solution, radius: int, max_elements: int = 2_000_000
 ) -> GrowthResult:
-    """Independent recomputation of ball_sizes over raw integer matrices."""
+    """Independent recomputation of ball_sizes over exact rational matrices."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     gens = affine_representation(s)
-    mats = [_MatrixElement(g.to_matrix()) for g in gens]
+    mats = [RationalMatrix.from_lists(g.to_matrix()) for g in gens]
     moves = mats + [m.inverse() for m in mats]
-    ident = _MatrixElement(AffineElement.identity(s.size).to_matrix())
+    ident = RationalMatrix.identity(s.size + 1)
     return GrowthResult(*_bfs_sizes(ident, moves, radius, max_elements))
 
 
@@ -177,27 +173,6 @@ def _bfs_sizes(start, moves, radius: int, max_elements: int):
         frontier = new
         sizes.append(len(seen))
     return tuple(sizes), truncated
-
-
-@dataclass(frozen=True)
-class _MatrixElement:
-    rows: tuple[tuple[int, ...], ...]
-
-    def __mul__(self, other: "_MatrixElement") -> "_MatrixElement":
-        a, b = self.rows, other.rows
-        m = len(a)
-        return _MatrixElement(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
-                for i in range(m)
-            )
-        )
-
-    def inverse(self) -> "_MatrixElement":
-        inv = _invert_rational([[Fraction(v) for v in row] for row in self.rows])
-        return _MatrixElement(
-            tuple(tuple(int(v) for v in row) for row in inv)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +398,15 @@ class RationalMatrix:
         )
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        a, b = self.rows, other.rows
-        m = len(a)
+        cols = tuple(zip(*other.rows))
+        # zero entries are skipped: the affine generators are mostly zeros
         return RationalMatrix(
             tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
-                for i in range(m)
+                tuple(
+                    sum([x * y for x, y in zip(row, col) if x], Fraction(0))
+                    for col in cols
+                )
+                for row in self.rows
             )
         )
 

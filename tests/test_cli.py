@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from yangbaxter import braces, fileio, groups
+from yangbaxter import braces, fileio, groups, solutions
 from yangbaxter.cli import main
 
 
@@ -97,6 +97,22 @@ def test_enumerate_count_only_all(capsys):
     assert "involutive: 5" in out
     assert "non-involutive: 21" in out
     assert "total: 26" in out
+
+
+def test_enumerate_rebuilds_each_class_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    rebuild = solutions.solution_from_canonical
+
+    def counting(blob):
+        calls.append(blob)
+        return rebuild(blob)
+
+    monkeypatch.setattr(solutions, "solution_from_canonical", counting)
+    out = tmp_path / "all-3.txt"
+    code, _, _ = run_cli(capsys, "enumerate", "--size", "3", "--out", str(out))
+    assert code == 0
+    assert len(calls) == 26 and len(set(calls)) == 26
+    assert out.read_text().count("kind: solution") == 26
 
 
 def test_enumerate_jobs_determinism(capsys):

@@ -82,3 +82,25 @@ def test_brace_with_nonzero_identity_is_relabeled_on_load():
     A = fileio.parse_text(text)
     assert A.add[0] == (0, 1, 2) or A.add[0][0] == 0
     assert A.add[0][1] == 1  # identity really is 0 after the relabel
+
+
+def _one_record_stream(count_line: str) -> str:
+    header = "kind: enumeration-stream\nschema: 1\nsize: 4\nmode: involutive\n"
+    record = fileio.solution_to_text(solutions.make_trivial(4))
+    return header + count_line + "\n" + record
+
+
+def test_stream_record_count_must_match_a_zero_count():
+    with pytest.raises(ParseError, match="announces 0 records, found 1"):
+        fileio.parse_text(_one_record_stream("count: 0\n"))
+
+
+def test_stream_record_count_is_required():
+    with pytest.raises(ParseError, match="count"):
+        fileio.parse_text(_one_record_stream(""))
+
+
+def test_empty_stream_with_zero_count_parses():
+    header = StreamHeader(size=4, mode="involutive", count=0)
+    stream = fileio.parse_text(fileio.stream_to_text(header, []))
+    assert stream.header.count == 0 and stream.solutions == []

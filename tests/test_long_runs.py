@@ -35,9 +35,8 @@ def test_involutive_size_6(tmp_path):
 
 
 def test_all_mode_size_5(tmp_path):
-    # reference value 3519; at size 4 the analogous published figure matches
-    # the TOTAL class count (involutive included), so both reconciliations
-    # are reported here rather than asserted blindly
+    # the reference value 3519 counts the strictly non-involutive classes;
+    # with the 88 involutive ones the total is 3607
     result = enumerate_solutions(
         EnumerationTask(
             size=5,
@@ -48,5 +47,5 @@ def test_all_mode_size_5(tmp_path):
         )
     )
     counts = result.counts()
-    print(f"size-5 all-mode counts: {counts}; reference value 3519")
-    assert 3519 in (counts["total"], counts["non_involutive"])
+    assert counts["non_involutive"] == 3519
+    assert counts["total"] == 3607

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangbaxter import perms
 
@@ -59,3 +60,42 @@ def test_all_perms_lex_order_identity_first():
     assert len(ps) == 6
     assert ps[0] == (0, 1, 2)
     assert ps == sorted(ps)
+
+
+def test_relabel_table_moves_entries_along_f():
+    table = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    f = (1, 2, 0)
+    moved = perms.relabel_table(table, f)
+    assert all(moved[f[i]][f[j]] == f[table[i][j]] for i in range(3) for j in range(3))
+    assert perms.relabel_table(moved, perms.invert(f)) == table
+
+
+@st.composite
+def table_pairs(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+    square = st.lists(row, min_size=n, max_size=n).map(tuple)
+    return draw(square), draw(square)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=table_pairs())
+def test_lex_min_relabeling_matches_unpruned_minimum(tables):
+    n = len(tables[0])
+
+    def flat(f):
+        moved = [perms.relabel_table(t, f) for t in tables]
+        return bytes(v for t in moved for row in t for v in row)
+
+    best = perms.lex_min_relabeling(tables, perms.all_perms(n))
+    assert best == min(flat(f) for f in perms.all_perms(n))
+    assert perms.tables_from_bytes(best, 2) in {
+        tuple(perms.relabel_table(t, f) for t in tables) for f in perms.all_perms(n)
+    }
+
+
+def test_tables_from_bytes_checks_the_shape():
+    pair = (((0, 1), (2, 3)), ((4, 5), (6, 7)))
+    assert perms.tables_from_bytes(bytes(range(8)), 2) == pair
+    with pytest.raises(ValueError):
+        perms.tables_from_bytes(bytes(7), 2)

@@ -105,9 +105,9 @@ def test_diagnose_matches_literal_braid_check():
 
 
 def test_involutive_examples(sol4_irr, sol_3_noninvolutive):
-    assert solutions.is_involutive(solutions.make_trivial(4))
-    assert solutions.is_involutive(sol4_irr)
-    assert not solutions.is_involutive(sol_3_noninvolutive)
+    assert solutions.make_trivial(4).involutive
+    assert sol4_irr.involutive
+    assert not sol_3_noninvolutive.involutive
 
 
 def test_involutivity_iff_tau_formula(sol4_irr, sol5_mp, sol_3_noninvolutive):
