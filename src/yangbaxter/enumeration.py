@@ -30,7 +30,7 @@ from pathlib import Path
 from . import braces as braces_mod
 from . import groups, solutions
 from .braces import SkewBrace
-from .perms import all_perms, compose, invert
+from .perms import all_perms, compose, invert, tables_from_bytes
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
@@ -104,7 +104,12 @@ class EnumerationResult:
         return len(self.canonicals)
 
     def counts(self) -> dict[str, int]:
-        inv = sum(1 for s in self.classes if s.involutive)
+        # the bytes come from verified leaves: read r o r = id off the decoded
+        # tables without rebuilding and re-verifying each class
+        inv = sum(
+            Solution(self.size, *tables_from_bytes(blob, 2)).involutive
+            for blob in self.canonicals
+        )
         return {
             "involutive": inv,
             "non_involutive": self.total - inv,

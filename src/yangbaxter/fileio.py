@@ -136,15 +136,20 @@ def _parse_block(lines: list[str]):
     if kind == "ring":
         return verify_ring(size, table("add"), table("prod"), require_radical=False)
     if kind == "enumeration-stream":
+        if meta.get("schema") != str(SCHEMA_VERSION):
+            raise ParseError(
+                f"stream schema {meta.get('schema')!r} is not {SCHEMA_VERSION}"
+            )
+        mode = meta.get("mode")
+        if mode not in ("involutive", "all"):
+            raise ParseError(f"stream mode {mode!r} is not involutive or all")
         known = {"kind", "schema", "size", "mode", "count"}
         extra = {k: v for k, v in meta.items() if k not in known}
         try:
             count = int(meta["count"])
         except (KeyError, ValueError) as exc:
             raise ParseError("stream header is missing a valid count") from exc
-        return StreamHeader(
-            size=size, mode=meta.get("mode", "involutive"), count=count, meta=extra
-        )
+        return StreamHeader(size=size, mode=mode, count=count, meta=extra)
     raise ParseError(f"unknown record kind {kind!r}")
 
 
@@ -176,6 +181,12 @@ def parse_text(text: str):
             record = _parse_block(block)
             if not isinstance(record, Solution):
                 raise ParseError("stream records must be solutions")
+            if record.size != first.size:
+                raise ParseError(
+                    f"stream of size {first.size} holds a record of size {record.size}"
+                )
+            if first.mode == "involutive" and not record.involutive:
+                raise ParseError("involutive stream holds a non-involutive record")
             sols.append(record)
         if first.count != len(sols):
             raise ParseError(

@@ -130,8 +130,9 @@ def relabel_table(table, f: Perm) -> Table:
     return tuple(tuple(f[table[i][j]] for j in finv) for i in finv)
 
 
-def lex_min_relabeling(tables, relabelings) -> bytes:
-    """Least row-by-row serialization of the relabelled tables over `relabelings`.
+def lex_min_relabeling(tables, relabelings) -> tuple[bytes, list[Perm]]:
+    """Least row-by-row serialization of the relabelled tables over `relabelings`,
+    with every relabeling that reaches it (in the order given).
 
     Rows are compared incrementally, so most relabelings are abandoned after
     a row or two.
@@ -139,6 +140,7 @@ def lex_min_relabeling(tables, relabelings) -> bytes:
     if len(tables[0]) > 255:
         raise ValueError("canonical serialization supports sizes up to 255")
     best: list[int] | None = None
+    ties: list[Perm] = []
 
     def serialize(f: Perm) -> list[int] | None:
         finv = invert(f)
@@ -155,10 +157,15 @@ def lex_min_relabeling(tables, relabelings) -> bytes:
 
     for f in relabelings:
         flat = serialize(f)
-        if flat is not None:
-            best = flat
+        if flat is None:
+            continue
+        # a serialization that survives the prune is at most best
+        if flat == best:
+            ties.append(f)
+        else:
+            best, ties = flat, [f]
     assert best is not None
-    return bytes(best)
+    return bytes(best), ties
 
 
 def tables_from_bytes(blob: bytes, count: int) -> tuple[Table, ...]:

@@ -15,10 +15,9 @@ isomorph rejection.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import groups
 from .groups import FiniteGroup
@@ -95,36 +94,36 @@ def diagnose(size: int, sigma, tau) -> SolutionDiagnostic | None:
                     (x,),
                 )
 
-    S = np.array(sigma, dtype=np.int64)
-    T = np.array(tau, dtype=np.int64)
-
-    xs, ys = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    pair_codes = S[xs, ys] * size + T[ys, xs]
-    if len(np.unique(pair_codes)) != size * size:
-        flat = pair_codes.ravel()
-        order = np.argsort(flat, kind="stable")
-        dup = order[np.nonzero(np.diff(flat[order]) == 0)[0][0]]
-        x, y = divmod(int(dup), size)
+    n = size
+    codes = [sigma[x][y] * n + tau[y][x] for x in range(n) for y in range(n)]
+    if len(set(codes)) != n * n:
+        # the witness is the first pair whose code is the least repeated one
+        repeated = min(c for c, k in Counter(codes).items() if k > 1)
+        x, y = divmod(codes.index(repeated), n)
         return SolutionDiagnostic(
             "r-bijective", f"r is not injective; duplicate image at (x={x}, y={y})",
             (x, y),
         )
 
-    def r1(a, b, c):
-        return S[a, b], T[b, a], c
-
-    def r2(a, b, c):
-        return a, S[b, c], T[c, b]
-
-    X, Y, Z = np.meshgrid(*([np.arange(size)] * 3), indexing="ij")
-    left = r1(*r2(*r1(X, Y, Z)))
-    right = r2(*r1(*r2(X, Y, Z)))
-    mismatch = (left[0] != right[0]) | (left[1] != right[1]) | (left[2] != right[2])
-    if mismatch.any():
-        x, y, z = (int(v[0]) for v in np.nonzero(mismatch))
-        return SolutionDiagnostic(
-            "braid", f"braid identity fails on the triple ({x}, {y}, {z})", (x, y, z)
-        )
+    # with S = sigma, T = tau: r1 r2 r1 (x, y, z) = (S[u][p], T[p][u], q)
+    # where (u, v) = r(x, y), (p, q) = r(v, z), and r2 r1 r2 (x, y, z) =
+    # (S[x][a], S[d][b], T[b][d]) where (a, b) = r(y, z), d = T[a][x].
+    # Triples are scanned in lex order, so the witness is the first failure.
+    for x in range(n):
+        Sx = sigma[x]
+        for y in range(n):
+            u, v = Sx[y], tau[y][x]
+            Su, Sv, Sy = sigma[u], sigma[v], sigma[y]
+            for z in range(n):
+                p, a = Sv[z], Sy[z]
+                Tz = tau[z]
+                q, b = Tz[v], Tz[y]
+                d = tau[a][x]
+                if Su[p] != Sx[a] or tau[p][u] != sigma[d][b] or q != tau[b][d]:
+                    return SolutionDiagnostic(
+                        "braid", f"braid identity fails on the triple ({x}, {y}, {z})",
+                        (x, y, z),
+                    )
     return None
 
 
@@ -396,7 +395,8 @@ def canonical_form(s: Solution) -> bytes:
 
     Two solutions get equal strings exactly when they are isomorphic.
     """
-    return lex_min_relabeling((s.sigma, s.tau), itertools.permutations(range(s.size)))
+    relabelings = itertools.permutations(range(s.size))
+    return lex_min_relabeling((s.sigma, s.tau), relabelings)[0]
 
 
 def solution_from_canonical(blob: bytes) -> Solution:

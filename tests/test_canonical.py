@@ -3,17 +3,20 @@
 Checkpoints and streams store these bytes, so the digests below pin them:
 each is the SHA-256 of the concatenated, sorted canonical forms of a class
 set.  The properties check that the forms are relabelling invariants and
-that decoding them gives back the stored representative exactly.
+that decoding them gives back the stored representative exactly.  A brace's
+form is computed over the relabelings tying on its additive table; the
+checks below hold that set and the result against the full search.
 """
 
 import hashlib
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangbaxter import braces, solutions
-from yangbaxter.enumeration import EnumerationTask, enumerate_solutions
-from yangbaxter.perms import relabel_table
+from yangbaxter import braces, groups, solutions
+from yangbaxter.enumeration import EnumerationTask, _braces_on_group, enumerate_solutions
+from yangbaxter.perms import relabel_table, tables_from_bytes
 
 ALL_4_DIGEST = "bbc7439fbb90aa6835267a7850384834199d237808ab5ffc02108870c114e04d"
 INVOLUTIVE_5_DIGEST = "c63a556e0ad304b1824d2ae7672552af5884a6ca22ccfbe9ffdad9a4f6b612d5"
@@ -71,3 +74,32 @@ def test_brace_form_is_invariant_under_relabellings_fixing_0(data, brace_corpus)
     blob = braces.brace_canonical_form(B)
     assert blob == braces.brace_canonical_form(A)
     assert braces.brace_from_canonical(blob) == A
+
+
+def full_brace_form(A) -> bytes:
+    """Least (add, mul) serialization over every relabeling fixing 0."""
+    return min(
+        bytes(v for t in (relabel_table(A.add, f), relabel_table(A.mul, f))
+              for row in t for v in row)
+        for f in ((0, *rest) for rest in permutations(range(1, A.size)))
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_additive_tie_set_is_a_coset_of_the_automorphisms(n):
+    for G in groups.groups_of_order(n):
+        add_bytes, ties = braces._additive_ties(G.table)
+        assert len(ties) == len(groups.automorphisms(G))
+        assert {relabel_table(G.table, f) for f in ties} == {
+            tables_from_bytes(add_bytes, 1)[0]
+        }
+
+
+def test_brace_form_matches_the_full_search_on_labelled_braces():
+    checked = 0
+    for n in range(1, 8):
+        for G in groups.groups_of_order(n):
+            for A in _braces_on_group(G):
+                assert braces.brace_canonical_form(A) == full_brace_form(A)
+                checked += 1
+    assert checked == 21

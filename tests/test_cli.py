@@ -99,7 +99,9 @@ def test_enumerate_count_only_all(capsys):
     assert "total: 26" in out
 
 
-def test_enumerate_rebuilds_each_class_once(capsys, tmp_path, monkeypatch):
+@pytest.fixture()
+def rebuilds(monkeypatch):
+    """The blobs handed to solution_from_canonical while the test runs."""
     calls = []
     rebuild = solutions.solution_from_canonical
 
@@ -108,11 +110,22 @@ def test_enumerate_rebuilds_each_class_once(capsys, tmp_path, monkeypatch):
         return rebuild(blob)
 
     monkeypatch.setattr(solutions, "solution_from_canonical", counting)
+    return calls
+
+
+def test_enumerate_rebuilds_each_class_once(capsys, tmp_path, rebuilds):
     out = tmp_path / "all-3.txt"
     code, _, _ = run_cli(capsys, "enumerate", "--size", "3", "--out", str(out))
     assert code == 0
-    assert len(calls) == 26 and len(set(calls)) == 26
+    assert len(rebuilds) == 26 and len(set(rebuilds)) == 26
     assert out.read_text().count("kind: solution") == 26
+
+
+def test_enumerate_count_only_rebuilds_no_class(capsys, rebuilds):
+    code, out, _ = run_cli(capsys, "enumerate", "--size", "4", "--count-only")
+    assert code == 0
+    assert "involutive: 23" in out and "non-involutive: 230" in out
+    assert rebuilds == []
 
 
 def test_enumerate_jobs_determinism(capsys):

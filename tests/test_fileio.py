@@ -26,8 +26,7 @@ def test_ring_round_trip():
 
 def test_stream_round_trip(sol4_irr, sol5_mp):
     header = StreamHeader(size=4, mode="involutive", count=2, meta={"seed": "1 (no-op)"})
-    # the stream format carries records of a single size in practice, but the
-    # parser does not require it; use two records of matching kind
+    # every record must match the header's size and, here, be involutive
     trivial = solutions.make_trivial(4)
     text = fileio.stream_to_text(header, [sol4_irr, trivial])
     stream = fileio.parse_text(text)
@@ -104,3 +103,41 @@ def test_empty_stream_with_zero_count_parses():
     header = StreamHeader(size=4, mode="involutive", count=0)
     stream = fileio.parse_text(fileio.stream_to_text(header, []))
     assert stream.header.count == 0 and stream.solutions == []
+
+
+def _stream(header_lines: str, *records) -> str:
+    return "kind: enumeration-stream\n" + header_lines + "\n" + "\n".join(
+        fileio.solution_to_text(s) for s in records
+    )
+
+
+def test_stream_schema_must_be_current(sol4_irr):
+    text = _stream("schema: 99\nsize: 4\nmode: involutive\ncount: 1\n", sol4_irr)
+    with pytest.raises(ParseError, match="schema '99'"):
+        fileio.parse_text(text)
+
+
+def test_stream_mode_is_required(sol4_irr):
+    text = _stream("schema: 1\nsize: 4\ncount: 1\n", sol4_irr)
+    with pytest.raises(ParseError, match="mode None"):
+        fileio.parse_text(text)
+
+
+def test_stream_mode_must_be_known(sol4_irr):
+    text = _stream("schema: 1\nsize: 4\nmode: braces\ncount: 1\n", sol4_irr)
+    with pytest.raises(ParseError, match="mode 'braces'"):
+        fileio.parse_text(text)
+
+
+def test_stream_records_must_have_the_header_size(sol_3_noninvolutive):
+    text = _stream("schema: 1\nsize: 5\nmode: all\ncount: 1\n", sol_3_noninvolutive)
+    with pytest.raises(ParseError, match="size 5 holds a record of size 3"):
+        fileio.parse_text(text)
+
+
+def test_involutive_stream_rejects_a_non_involutive_record(sol_3_noninvolutive):
+    header = "schema: 1\nsize: 3\nmode: {}\ncount: 1\n"
+    with pytest.raises(ParseError, match="non-involutive record"):
+        fileio.parse_text(_stream(header.format("involutive"), sol_3_noninvolutive))
+    stream = fileio.parse_text(_stream(header.format("all"), sol_3_noninvolutive))
+    assert stream.solutions == [sol_3_noninvolutive]

@@ -87,8 +87,9 @@ def test_lex_min_relabeling_matches_unpruned_minimum(tables):
         moved = [perms.relabel_table(t, f) for t in tables]
         return bytes(v for t in moved for row in t for v in row)
 
-    best = perms.lex_min_relabeling(tables, perms.all_perms(n))
+    best, ties = perms.lex_min_relabeling(tables, perms.all_perms(n))
     assert best == min(flat(f) for f in perms.all_perms(n))
+    assert ties == [f for f in perms.all_perms(n) if flat(f) == best]
     assert perms.tables_from_bytes(best, 2) in {
         tuple(perms.relabel_table(t, f) for t in tables) for f in perms.all_perms(n)
     }

@@ -356,37 +356,51 @@ def test_analyze_noninvolutive(sol_3_noninvolutive):
 
 
 def test_diagnose_fuzz_against_literal_checker():
-    # the numpy validator and a from-scratch stepwise evaluation must agree
-    # on random candidates (mostly invalid) and on perturbed valid solutions
+    # diagnose and a from-scratch stepwise evaluation must report the same
+    # condition and witness on random candidates (mostly invalid) and on
+    # perturbed valid solutions
     import random
+
+    from yangbaxter.enumeration import EnumerationTask, enumerate_solutions
 
     rng = random.Random(20240808)
 
-    def literal_valid(n, sigma, tau):
-        imgs = {
-            (sigma[x][y], tau[y][x]) for x in range(n) for y in range(n)
-        }
-        if len(imgs) != n * n:
-            return False
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    a, b = sigma[x][y], tau[y][x]
-                    c, d = sigma[b][z], tau[z][b]
-                    e, f = sigma[a][c], tau[c][a]
-                    lhs = (e, f, d)
-                    p, q = sigma[y][z], tau[z][y]
-                    u, v = sigma[x][p], tau[p][x]
-                    w, t = sigma[v][q], tau[q][v]
-                    rhs = (u, w, t)
-                    if lhs != rhs:
-                        return False
-        return True
+    def literal_diagnosis(n, sigma, tau):
+        pairs = list(itertools.product(range(n), repeat=2))
+        images = [(sigma[x][y], tau[y][x]) for x, y in pairs]
+        repeated = [img for img in images if images.count(img) > 1]
+        if repeated:
+            # the first pair whose image is the least repeated one
+            return "r-bijective", pairs[images.index(min(repeated))]
+        for x, y, z in itertools.product(range(n), repeat=3):
+            a, b = sigma[x][y], tau[y][x]
+            c, d = sigma[b][z], tau[z][b]
+            e, f = sigma[a][c], tau[c][a]
+            lhs = (e, f, d)
+            p, q = sigma[y][z], tau[z][y]
+            u, v = sigma[x][p], tau[p][x]
+            w, t = sigma[v][q], tau[q][v]
+            rhs = (u, w, t)
+            if lhs != rhs:
+                return "braid", (x, y, z)
+        return None
+
+    def check(n, sigma, tau):
+        diag = solutions.diagnose(n, sigma, tau)
+        got = None if diag is None else (diag.condition, diag.witness)
+        assert got == literal_diagnosis(n, sigma, tau)
 
     for n in (3, 4, 5):
         pool = perms.all_perms(n)
         for _ in range(300):
             sigma = tuple(rng.choice(pool) for _ in range(n))
             tau = tuple(rng.choice(pool) for _ in range(n))
-            fast = solutions.diagnose(n, sigma, tau) is None
-            assert fast == literal_valid(n, sigma, tau)
+            check(n, sigma, tau)
+    for s in enumerate_solutions(EnumerationTask(size=3, mode="all")).classes:
+        check(s.size, s.sigma, s.tau)
+        for _ in range(10):
+            fams = [list(s.sigma), list(s.tau)]
+            fams[rng.randrange(2)][rng.randrange(s.size)] = rng.choice(
+                perms.all_perms(s.size)
+            )
+            check(s.size, *fams)

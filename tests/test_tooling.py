@@ -23,17 +23,32 @@ def test_every_traced_function_exists():
         assert callable(found), f"yangbaxter.{module}.{attr} is gone"
 
 
-@pytest.mark.parametrize(
-    "demo", ["solutions_tour.py", "braces_tour.py", "growth_and_unique_products.py"]
-)
-def test_demo_runs(demo):
+def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_import_leaves_numpy_unloaded():
+    # a fresh interpreter, so no other test's imports are counted
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, yangbaxter; print('numpy' in sys.modules)"],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "demo", ["solutions_tour.py", "braces_tour.py", "growth_and_unique_products.py"]
+)
+def test_demo_runs(demo):
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
