@@ -3,11 +3,15 @@
 The solution search backtracks over the rows of the sigma family (and, in
 `all` mode, the tau family), pruning with partial braid consequences:
 
-  * row products: sigma_{sigma_x(y)} o sigma_{tau_y(x)} = sigma_x o sigma_y,
-    checked the moment all four rows are known;
-  * in `all` mode that identity also pins each value tau_y(x) to the set of
-    rows carrying a prescribed permutation, which yields cell domains for
-    the tau rows plus a pigeonhole bound during the sigma phase;
+  * row products: sigma_{sigma_x(y)} o sigma_{tau_y(x)} = sigma_x o sigma_y.
+    In involutive mode, where tau_y(x) = sigma_u^-1(x) with u = sigma_x(y),
+    each sigma row is built one cell at a time and a partial row is dropped
+    as soon as the identity fails pointwise on its known entries; a row the
+    identity on earlier rows fixes outright is tried alone;
+  * in `all` mode the identity is checked on sigma rows the moment all four
+    rows are known, and pins each value tau_y(x) to the set of rows carrying
+    a prescribed permutation, which yields cell domains for the tau rows
+    plus a pigeonhole bound during the sigma phase;
   * partial injectivity of the pair map;
   * the remaining braid components on resolved triples.
 
@@ -21,10 +25,10 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import permutations
 from pathlib import Path
 
 from . import braces as braces_mod
@@ -222,34 +226,88 @@ class _Deadline:
 # Involutive search: rows of sigma only, tau is forced
 
 
-def _involutive_row_ok(rows: list[int], k: int, perms, mul, inv) -> bool:
-    # check the row-product identity for exactly the pairs whose last
-    # dependency is row k (earlier-complete pairs were checked at lower depth)
+def _row_products_hold(sig, sinv, k: int, n: int) -> bool:
+    """Row-product identity on the pairs that involve row k, where defined.
+
+    For x, y <= k with u = sigma_x(y) <= k and t = sigma_u^-1(x) <= k, and
+    one of x, y, u, t equal to k, checks sigma_x(sigma_y(z)) =
+    sigma_u(sigma_t(z)) pointwise.  Rows below k are complete; row k may be
+    partial, with -1 in its unfilled cells (and in the unused values of its
+    inverse), and every lookup that meets such a cell is skipped.  Pairs
+    within rows below k were checked when their last row was placed, so on
+    a complete row k this is the whole identity on rows 0..k.
+    """
     for x in range(k + 1):
-        rx = rows[x]
-        appx = perms[rx]
-        mul_rx = mul[rx]
-        x_is_k = x == k
+        sx = sig[x]
         for y in range(k + 1):
-            u = appx[y]
-            if u > k:
+            u = sx[y]
+            if u < 0 or u > k:
                 continue
-            ru = rows[u]
-            t = perms[inv[ru]][x]
-            if t > k:
+            t = sinv[u][x]
+            if t < 0 or t > k:
                 continue
-            if not (x_is_k or y == k or u == k or t == k):
+            if x != k and y != k and u != k and t != k:
                 continue
-            if mul[ru][rows[t]] != mul_rx[rows[y]]:
-                return False
+            sy = sig[y]
+            su = sig[u]
+            st = sig[t]
+            for z in range(n):
+                a = sy[z]
+                b = st[z]
+                if a < 0 or b < 0:
+                    continue
+                left = sx[a]
+                right = su[b]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
     return True
 
 
-def _involutive_leaf(n: int, rows: list[int], perms, inv) -> Solution | None:
-    sigma = tuple(perms[r] for r in rows)
+def _involutive_rows(sig, sinv, n: int) -> list[tuple[int, ...]]:
+    """Every row sigma_k, k = len(sig), that keeps the row-product identity.
+
+    Builds the row one cell at a time, z = 0..n-1, over the values not yet
+    in it in ascending order, and drops a partial row as soon as
+    `_row_products_hold` fails on it; the rows come out in lexicographic
+    order, the order of `all_perms(n)`.
+    """
+    k = len(sig)
+    for x in range(k):
+        for y in range(k):
+            u = sig[x][y]
+            if u < k and sinv[u][x] == k:
+                # sigma_x sigma_y = sigma_u sigma_k fixes the whole row
+                forced = tuple(sinv[u][sig[x][sig[y][z]]] for z in range(n))
+                ok = _row_products_hold([*sig, forced], [*sinv, invert(forced)], k, n)
+                return [forced] if ok else []
+    row = [-1] * n
+    row_inv = [-1] * n
+    rows = [*sig, row]
+    invs = [*sinv, row_inv]
+    out: list[tuple[int, ...]] = []
+
+    def cells(z: int) -> None:
+        if z == n:
+            out.append(tuple(row))
+            return
+        for v in range(n):
+            if row_inv[v] < 0:
+                row[z] = v
+                row_inv[v] = z
+                if _row_products_hold(rows, invs, k, n):
+                    cells(z + 1)
+                row_inv[v] = -1
+        row[z] = -1
+
+    cells(0)
+    return out
+
+
+def _involutive_leaf(n: int, sig, sinv) -> Solution | None:
+    sigma = tuple(sig)
     tau = []
     for y in range(n):
-        row = [perms[inv[rows[sigma[x][y]]]][x] for x in range(n)]
+        row = [sinv[sigma[x][y]][x] for x in range(n)]
         if sorted(row) != list(range(n)):
             return None
         tau.append(tuple(row))
@@ -260,27 +318,29 @@ def _involutive_leaf(n: int, rows: list[int], perms, inv) -> Solution | None:
 
 
 def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
-    perms, _, mul, inv = _sym_tables(n)
+    perms = all_perms(n)
     found: set[bytes] = set()
-    rows = list(prefix)
-    for k in range(len(rows)):
-        if not _involutive_row_ok(rows[: k + 1], k, perms, mul, inv):
+    sig = [perms[r] for r in prefix]
+    sinv = [invert(p) for p in sig]
+    for k in range(len(sig)):
+        if not _row_products_hold(sig, sinv, k, n):
             return found
 
     def dfs(k: int) -> None:
         deadline.tick()
         if k == n:
-            leaf = _involutive_leaf(n, rows, perms, inv)
+            leaf = _involutive_leaf(n, sig, sinv)
             if leaf is not None:
                 found.add(solutions.canonical_form(leaf))
             return
-        for cand in range(len(perms)):
-            rows.append(cand)
-            if _involutive_row_ok(rows, k, perms, mul, inv):
-                dfs(k + 1)
-            rows.pop()
+        for row in _involutive_rows(sig, sinv, n):
+            sig.append(row)
+            sinv.append(invert(row))
+            dfs(k + 1)
+            sig.pop()
+            sinv.pop()
 
-    dfs(len(rows))
+    dfs(len(sig))
     return found
 
 
@@ -548,10 +608,21 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
                 record(task_id, classes)
         else:
             with ProcessPoolExecutor(max_workers=task.jobs) as pool:
-                for task_id, classes in pool.map(_run_subtree, args):
-                    record(task_id, classes)
-                    if out_of_time():
-                        raise TimeBudgetExceeded
+                futures = {pool.submit(_run_subtree, a) for a in args}
+                try:
+                    for fut in as_completed(set(futures)):
+                        futures.discard(fut)
+                        record(*fut.result())
+                        if out_of_time():
+                            raise TimeBudgetExceeded
+                except TimeBudgetExceeded:
+                    # drop the queued subtrees, let the running ones reach
+                    # their own deadline, and keep every one that finished
+                    pool.shutdown(cancel_futures=True)
+                    for fut in futures:
+                        if not fut.cancelled() and fut.exception() is None:
+                            record(*fut.result())
+                    raise
     except TimeBudgetExceeded:
         raise PartialResultError(
             f"time budget of {task.time_budget}s exceeded with "
@@ -577,26 +648,6 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
         result = EnumerationResult(n, task.mode, [b for b, _ in keep], filtered=True)
         result.classes = [sol for _, sol in keep]  # already rebuilt above
     return result
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle (no pruning beyond validity)
-
-
-def brute_force_solutions(n: int) -> list[bytes]:
-    """Canonical class set by scanning every (sigma, tau) family outright.
-
-    (n!)^(2n) candidates; keep n <= 3.
-    """
-    if n > 3:
-        raise ValueError("the brute-force oracle is meant for n <= 3")
-    perms = all_perms(n)
-    found: set[bytes] = set()
-    for sigma in product(perms, repeat=n):
-        for tau in product(perms, repeat=n):
-            if solutions.diagnose(n, sigma, tau) is None:
-                found.add(solutions.canonical_form(Solution(n, sigma, tau)))
-    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -683,53 +734,6 @@ def _braces_on_group(G: groups.FiniteGroup):
     trail0: list[int] = []
     if propagate(trail0):
         dfs()
-    return out
-
-
-def brute_force_braces(n: int) -> list[SkewBrace]:
-    """Oracle: pair up every group table with identity 0, filter, canonicalize."""
-    if n > 5:
-        raise ValueError("the brace oracle is meant for n <= 5")
-    tables = _all_group_tables(n)
-    canon: set[bytes] = set()
-    for add in tables:
-        for mul in tables:
-            if braces_mod.diagnose_brace(add, mul) is None:
-                canon.add(
-                    braces_mod.brace_canonical_form(SkewBrace(n, add, mul))
-                )
-    return [braces_mod.brace_from_canonical(b) for b in sorted(canon)]
-
-
-def _all_group_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every group table on {0..n-1} with identity 0."""
-    rows_for = {
-        a: [p for p in permutations(range(n)) if p[0] == a] for a in range(1, n)
-    }
-    table: list[tuple[int, ...]] = [tuple(range(n))]
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def columns_ok() -> bool:
-        k = len(table)
-        for j in range(n):
-            col = [table[i][j] for i in range(k)]
-            if len(set(col)) != k:
-                return False
-        return True
-
-    def dfs(a: int) -> None:
-        if a == n:
-            candidate = tuple(table)
-            if groups.table_diagnostic(candidate) is None:
-                out.append(candidate)
-            return
-        for p in rows_for[a]:
-            table.append(p)
-            if columns_ok():
-                dfs(a + 1)
-            table.pop()
-
-    dfs(1)
     return out
 
 

@@ -10,12 +10,12 @@ import sys
 import time
 
 import pytest
+from oracles import brute_force_solutions
 
 from yangbaxter import braces, perms, solutions, structgroup
 from yangbaxter.cli import main as cli_main
 from yangbaxter.enumeration import (
     EnumerationTask,
-    brute_force_solutions,
     enumerate_braces,
     enumerate_solutions,
 )

@@ -1,13 +1,21 @@
-import pytest
+import time
+from concurrent.futures import ThreadPoolExecutor
 
-from yangbaxter import braces, solutions
+import pytest
+from oracles import (
+    brute_force_braces,
+    brute_force_solutions,
+    involutive_row_ok,
+    labeled_involutive_count,
+    orbit_sum,
+)
+
+from yangbaxter import braces, enumeration, solutions
 from yangbaxter.enumeration import (
     CheckpointMismatchError,
     EnumerationCapError,
     EnumerationTask,
     PartialResultError,
-    brute_force_braces,
-    brute_force_solutions,
     corpus_report,
     enumerate_braces,
     enumerate_solutions,
@@ -67,6 +75,63 @@ def test_involutive_mode_is_the_involutive_slice_of_all_mode():
 @pytest.mark.parametrize("n", [2, 3])
 def test_oracle_equivalence(n):
     assert brute_force_solutions(n) == run(n, "all").canonicals
+
+
+# ---------------------------------------------------------------------------
+# the involutive row generator
+
+
+def _filtered_rows(rows, n):
+    """The rows the old filter accepts after `rows`, in `all_perms` order."""
+    perms, _, mul, inv = enumeration._sym_tables(n)
+    k = len(rows)
+    return [
+        perms[c] for c in range(len(perms))
+        if involutive_row_ok(rows + [c], k, perms, mul, inv)
+    ]
+
+
+def _assert_generator_matches_filter(rows, n, depth):
+    """Generator and filter agree after `rows` and `depth` levels below it."""
+    perms, index, _, inv = enumeration._sym_tables(n)
+    sig = [perms[r] for r in rows]
+    sinv = [perms[inv[r]] for r in rows]
+    generated = enumeration._involutive_rows(sig, sinv, n)
+    assert generated == _filtered_rows(rows, n), (n, rows)
+    if depth > 0 and len(rows) + 1 < n:
+        for row in generated:
+            _assert_generator_matches_filter(rows + [index[row]], n, depth - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_row_generator_matches_row_filter_on_whole_tree(n):
+    _assert_generator_matches_filter([], n, depth=n)
+
+
+def test_row_generator_matches_row_filter_below_size5_subtrees():
+    perms, _, mul, inv = enumeration._sym_tables(5)
+    nodes = 0
+    for prefix in enumeration.subtree_tasks(5):
+        sig = [perms[r] for r in prefix]
+        sinv = [perms[inv[r]] for r in prefix]
+        # the prefix check is the same routine, on complete rows
+        checks = [
+            involutive_row_ok(list(prefix[: k + 1]), k, perms, mul, inv)
+            for k in range(len(prefix))
+        ]
+        assert checks == [
+            enumeration._row_products_hold(sig, sinv, k, 5) for k in range(len(prefix))
+        ], prefix
+        if all(checks):
+            _assert_generator_matches_filter(list(prefix), 5, depth=1)
+            nodes += 1
+    assert nodes == 579
+
+
+@pytest.mark.parametrize("n, labeled", [(1, 1), (2, 2), (3, 12), (4, 168)])
+def test_labeled_count_is_the_orbit_sum(n, labeled, involutive_corpus):
+    assert labeled_involutive_count(n) == labeled
+    assert orbit_sum(involutive_corpus[n]) == labeled
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +201,35 @@ def test_time_budget_yields_partial_result_error(tmp_path):
     assert exc.value.total_tasks == len(subtree_tasks(5))
     # completed subtrees are persisted for resume
     assert len(list(tmp_path.glob("*.json"))) == len(exc.value.completed_tasks)
+
+
+def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
+    # threads stand in for the worker processes so that the subtree runner
+    # can be replaced: the first subtree runs out of time at once, the
+    # others take a while, so they finish after it
+    tasks = enumeration.subtree_tasks(4)
+    real = enumeration._run_subtree
+    started, returned = [], []
+
+    def run_subtree(args):
+        prefix = args[2]
+        started.append(prefix)
+        if prefix == tasks[0]:
+            raise enumeration.TimeBudgetExceeded
+        time.sleep(0.05)
+        result = real(args)
+        returned.append(prefix)
+        return result
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    with pytest.raises(PartialResultError) as exc:
+        run(4, "involutive", jobs=2, checkpoint_dir=tmp_path)
+    # every subtree that returned is recorded and checkpointed ...
+    assert exc.value.completed_tasks == sorted(returned)
+    assert len(list(tmp_path.glob("*.json"))) == len(returned)
+    # ... and the queued ones were cancelled, not run
+    assert len(started) < len(tasks)
 
 
 # ---------------------------------------------------------------------------

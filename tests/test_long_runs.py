@@ -9,6 +9,7 @@ A checkpoint directory makes interrupted runs resumable:
 import os
 
 import pytest
+from oracles import labeled_involutive_count, orbit_sum
 
 from yangbaxter.enumeration import EnumerationTask, enumerate_solutions
 
@@ -49,3 +50,9 @@ def test_all_mode_size_5(tmp_path):
     counts = result.counts()
     assert counts["non_involutive"] == 3519
     assert counts["total"] == 3607
+
+
+def test_labeled_count_is_the_orbit_sum_size_5():
+    result = enumerate_solutions(EnumerationTask(size=5, mode="involutive", jobs=2))
+    assert labeled_involutive_count(5) == 2640
+    assert orbit_sum(result.classes) == 2640
