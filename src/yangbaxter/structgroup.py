@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .perms import Perm, compose, identity as identity_perm, invert
 from .solutions import Solution
@@ -131,12 +132,76 @@ def ball_sizes(
     Edges join g and gx, so the graph is undirected with the symmetric
     generating set; values[k] counts elements at distance <= k.  Exceeding
     `max_elements` returns the computed prefix flagged as truncated.
+
+    The search (`_keyed_bfs_sizes`) is `_bfs_sizes` on one int per element
+    (p, t) instead of one `AffineElement` per product.  The key of (p, t)
+    is code(t) * n! + id(p): id(p) < n! is handed out the first time p is
+    reached, and code(t) = sum t_i * B^i in the balanced base
+    B = 2 * radius + 1.  Every move shifts by a signed unit vector (the
+    generators by e_i, their inverses by -e_j; checked on the moves), so each
+    step moves t by one unit vector and |t_i| <= radius inside the ball: the
+    digits stay in range and the key determines the whole pair (p, t), not
+    t alone.  (p, t) * (q, +-e_j) = (pq, t +- e_{p(j)}), so for a fixed p and
+    move the key changes by a constant; each reached permutation keeps one
+    row of 2n key deltas and a level is expanded in batches of keys sharing
+    p.  |seen| only grows, so checking the cap at the end of a level
+    truncates exactly where `_bfs_sizes` does.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     gens = affine_representation(s)
     moves = gens + [g.inverse() for g in gens]
-    return GrowthResult(*_bfs_sizes(AffineElement.identity(s.size), moves, radius, max_elements))
+    return GrowthResult(*_keyed_bfs_sizes(s.size, moves, radius, max_elements))
+
+
+def _keyed_bfs_sizes(n: int, moves, radius: int, max_elements: int):
+    """`_bfs_sizes` from the identity of Z^n x Sym(n), on integer keys.
+
+    Every move must be an `AffineElement` whose shift is a signed unit
+    vector; the key encoding of `ball_sizes` is exact only then.
+    """
+    steps = []  # (perm, coordinate, sign) of each move's shift
+    for m in moves:
+        shift = [(j, v) for j, v in enumerate(m.trans_part) if v]
+        if len(shift) != 1 or shift[0][1] not in (1, -1):
+            raise ValueError(f"move shift {m.trans_part} is not a signed unit vector")
+        steps.append((m.perm_part, *shift[0]))
+    base = 2 * radius + 1
+    modulus = factorial(n)
+    perms = [identity_perm(n)]
+    ids = {perms[0]: 0}
+    deltas: dict[int, list[int]] = {}  # perm id -> key delta of each move
+
+    def delta_row(pid: int) -> list[int]:
+        p = perms[pid]
+        row = []
+        for q, j, sign in steps:
+            pq = compose(p, q)
+            qid = ids.setdefault(pq, len(perms))
+            if qid == len(perms):
+                perms.append(pq)
+            row.append(sign * base ** p[j] * modulus + qid - pid)
+        return row
+
+    seen = {0}
+    frontier = {0: [0]}  # perm id -> keys of the last level
+    sizes = [1]
+    for _ in range(radius):
+        new = set()
+        for pid, keys in frontier.items():
+            if pid not in deltas:
+                deltas[pid] = delta_row(pid)
+            for d in deltas[pid]:
+                new.update([k + d for k in keys])
+        new -= seen
+        seen |= new
+        if len(seen) > max_elements:
+            return tuple(sizes), True
+        sizes.append(len(seen))
+        frontier = {}
+        for k in new:
+            frontier.setdefault(k % modulus, []).append(k)
+    return tuple(sizes), False
 
 
 def ball_sizes_via_matrices(
@@ -153,6 +218,13 @@ def ball_sizes_via_matrices(
 
 
 def _bfs_sizes(start, moves, radius: int, max_elements: int):
+    """Breadth-first ball sizes over any hashable elements with `*`.
+
+    One object per product: `ball_sizes_via_matrices` runs it on rational
+    matrices, and the tests run it on `AffineElement`s as the oracle for
+    the integer-keyed search of `ball_sizes`.  Once |seen| exceeds
+    `max_elements` it returns the completed levels with truncated=True.
+    """
     seen = {start}
     frontier = [start]
     sizes = [1]

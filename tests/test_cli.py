@@ -209,6 +209,18 @@ def test_growth_with_guess(capsys, tmp_path):
     assert "guess (conjecture): (1 + t) / (1 - 2*t + t^2)" in out
 
 
+def test_growth_size8_candidate_is_the_z8_ball(capsys, tmp_path, candidate):
+    from math import comb
+
+    path = tmp_path / "candidate.txt"
+    path.write_text(fileio.solution_to_text(candidate))
+    code, out, _ = run_cli(capsys, "growth", str(path), "--radius", "7")
+    assert code == 0
+    lattice = [sum(2**j * comb(8, j) * comb(k, j) for j in range(9)) for k in range(8)]
+    assert out.splitlines() == [f"{k} {v}" for k, v in enumerate(lattice)]
+    assert out.endswith("7 108545\n")
+
+
 def test_upp_falsified_on_size4(capsys, sol_file):
     code, out, _ = run_cli(capsys, "upp", sol_file, "--x", "1 2'", "--y", "1 3'")
     assert code == 0

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangbaxter import solutions
 from yangbaxter.structgroup import (
@@ -9,6 +12,8 @@ from yangbaxter.structgroup import (
     affine_representation,
     additive_group_presentation,
     ball_sizes,
+    _bfs_sizes,
+    _keyed_bfs_sizes,
     ball_sizes_via_matrices,
     eval_word,
     generator_collapse,
@@ -156,7 +161,107 @@ def test_ball_sizes_struct_increasing(sol4_irr):
 def test_ball_sizes_truncation_marker(sol4_irr):
     g = ball_sizes(sol4_irr, 5, max_elements=50)
     assert g.truncated
-    assert len(g.values) < 6
+    assert g.values == (1, 9, 41)
+
+
+def lattice_ball(n, k):
+    """Points of Z^n at l1 distance <= k from 0."""
+    return sum(2**j * comb(n, j) * comb(k, j) for j in range(n + 1))
+
+
+def affine_bfs(s, radius, max_elements=2_000_000):
+    """The ball search on one AffineElement per product: the oracle."""
+    gens = affine_representation(s)
+    moves = gens + [g.inverse() for g in gens]
+    return _bfs_sizes(AffineElement.identity(s.size), moves, radius, max_elements)
+
+
+def test_ball_sizes_matches_affine_bfs_on_small_classes(involutive_corpus):
+    for n in range(1, 5):
+        for s in involutive_corpus[n]:
+            g = ball_sizes(s, 4)
+            assert (g.values, g.truncated) == affine_bfs(s, 4), s
+
+
+def test_ball_sizes_matches_affine_bfs_on_candidate(candidate):
+    g = ball_sizes(candidate, 3)
+    assert (g.values, g.truncated) == affine_bfs(candidate, 3)
+    assert g.values == (1, 17, 145, 833)
+
+
+@pytest.mark.parametrize(
+    "cap, values, truncated",
+    [
+        (40, (1, 9), True),
+        (41, (1, 9, 41), True),
+        (50, (1, 9, 41), True),
+        (128, (1, 9, 41), True),
+        (129, (1, 9, 41, 129), False),
+    ],
+)
+def test_ball_sizes_cap_matches_affine_bfs(sol4_irr, cap, values, truncated):
+    # 41 and 129 are level sizes: a cap equal to one keeps the level
+    g = ball_sizes(sol4_irr, 3, max_elements=cap)
+    assert (g.values, g.truncated) == (values, truncated)
+    assert affine_bfs(sol4_irr, 3, cap) == (values, truncated)
+
+
+@st.composite
+def unit_shift_moves(draw):
+    """Affine elements of Z^n x Sym(n) whose shifts are signed unit vectors."""
+    n = draw(st.integers(1, 4))
+    moves = []
+    for _ in range(draw(st.integers(1, 5))):
+        perm = tuple(draw(st.permutations(range(n))))
+        shift = [0] * n
+        shift[draw(st.integers(0, n - 1))] = draw(st.sampled_from((1, -1)))
+        moves.append(AffineElement(perm, tuple(shift)))
+    return n, moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=unit_shift_moves(), radius=st.integers(0, 4), cap=st.integers(0, 300))
+def test_keyed_search_matches_affine_bfs_on_any_unit_moves(case, radius, cap):
+    # arbitrary moves need not give an injective translation part, so this
+    # fails if the search deduplicated on t alone
+    n, moves = case
+    want = _bfs_sizes(AffineElement.identity(n), moves, radius, cap)
+    assert _keyed_bfs_sizes(n, moves, radius, cap) == want
+
+
+def test_keyed_search_deduplicates_on_the_whole_element():
+    # both moves shift by e_0; only the permutation tells the products apart
+    moves = [AffineElement((1, 0), (1, 0)), AffineElement((0, 1), (1, 0))]
+    want = _bfs_sizes(AffineElement.identity(2), moves, 3, 100)
+    assert _keyed_bfs_sizes(2, moves, 3, 100) == want == ((1, 3, 7, 13), False)
+
+
+def test_keyed_search_rejects_other_shifts():
+    for shift in [(0, 0), (1, 1), (2, 0), (0, -2)]:
+        with pytest.raises(ValueError):
+            _keyed_bfs_sizes(2, [AffineElement((0, 1), shift)], 2, 100)
+
+
+def test_ball_sizes_are_lattice_balls(involutive_corpus):
+    # the translation part is injective and, from every element, the 2n
+    # moves reach all 2n unit vectors: the Cayley graph is that of Z^n
+    assert len(involutive_corpus[5]) == 88
+    for n in range(1, 6):
+        want = tuple(lattice_ball(n, k) for k in range(6))
+        for s in involutive_corpus[n]:
+            assert ball_sizes(s, 5).values == want, s
+
+
+def test_positive_words_count_is_i_type(involutive_corpus):
+    # the structure monoid is of I-type (Gateva-Ivanova--Van den Bergh 1998):
+    # its degree-k part has as many elements as the monomials of degree k
+    for n in range(1, 6):
+        for s in involutive_corpus[n]:
+            gens = affine_representation(s)
+            for k in range(4):
+                words = product(range(1, n + 1), repeat=k)
+                elements = {eval_word(gens, w) for w in words}
+                assert len(elements) == comb(n + k - 1, k), (s, k)
 
 
 def test_cocycle_injectivity_within_ball(sol4_irr):
@@ -214,10 +319,12 @@ def test_guess_none_for_factorials():
 
 
 def test_guess_reexpands_on_size4(sol4_irr):
-    vals = ball_sizes(sol4_irr, 6).values
+    vals = ball_sizes(sol4_irr, 10).values
     guess = guess_rational_series(vals)
-    if guess is not None:
-        assert guess.expand(len(vals)) == list(vals)
+    # (1 + t)^4 / (1 - t)^5, the growth series of Z^4
+    assert guess.numerator == (1, 4, 6, 4, 1)
+    assert guess.denominator == (1, -5, 10, -10, 5, -1)
+    assert guess.expand(len(vals)) == list(vals)
 
 
 # ---------------------------------------------------------------------------
