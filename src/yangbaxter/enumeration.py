@@ -15,26 +15,33 @@ The solution search backtracks over the rows of the sigma family (and, in
   * partial injectivity of the pair map;
   * the remaining braid components on resolved triples.
 
-Survivors are validated in full, canonicalized, and deduplicated, so the
-pruning only ever affects speed, never the produced class set.  Work splits
-into independent subtrees keyed by the first sigma row; merged output is a
-sorted canonical list, identical for any parallelism degree.
+The involutive search is orderly (lex-leader): a node whose k >= 2 sigma
+rows some relabeling of {0..k-1} onto itself makes strictly smaller is cut,
+so the search reaches only the canonical member of each class, and a leaf
+that survives is validated in full and emitted as its own serialization.
+The `all` search validates every leaf in full, canonicalizes it and
+deduplicates.  Either way the pruning only ever affects speed, never the
+produced class set.  Work splits into independent subtrees keyed by the
+first two sigma rows, which the workers take one at a time from a shared
+counter, checkpointing each as it finishes; merged output is a sorted
+canonical list, identical for any parallelism degree.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from pathlib import Path
 
 from . import braces as braces_mod
 from . import groups, solutions
 from .braces import SkewBrace
-from .perms import all_perms, compose, invert, tables_from_bytes
+from .perms import all_perms, compose, has_smaller_relabeling, invert, tables_from_bytes
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
@@ -96,7 +103,6 @@ class EnumerationResult:
     size: int
     mode: str
     canonicals: list[bytes]
-    filtered: bool = False
 
     @cached_property
     def classes(self) -> list[Solution]:
@@ -318,6 +324,16 @@ def _involutive_leaf(n: int, sig, sinv) -> Solution | None:
 
 
 def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
+    """Canonical forms of the classes whose canonical member lies below prefix.
+
+    Orderly generation: a node whose k >= 2 sigma rows some relabeling of
+    {0..k-1} onto itself makes strictly smaller has no canonical member below
+    it, since every completion is beaten by the same relabeling.  The
+    canonical member of a class is never cut: its first two rows are orbit
+    minima, so it lies inside one subtree, and no relabeling lowers any
+    prefix of it.  A leaf that survives at k = n is that member, and since
+    tau is fixed by sigma, its own serialization is its canonical form.
+    """
     perms = all_perms(n)
     found: set[bytes] = set()
     sig = [perms[r] for r in prefix]
@@ -328,10 +344,12 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
 
     def dfs(k: int) -> None:
         deadline.tick()
+        if k >= 2 and has_smaller_relabeling(sig):
+            return
         if k == n:
             leaf = _involutive_leaf(n, sig, sinv)
             if leaf is not None:
-                found.add(solutions.canonical_form(leaf))
+                found.add(bytes(chain.from_iterable(leaf.sigma + leaf.tau)))
             return
         for row in _involutive_rows(sig, sinv, n):
             sig.append(row)
@@ -509,6 +527,51 @@ def _run_subtree(args) -> tuple[tuple[int, ...], list[bytes]]:
     return prefix, sorted(found)
 
 
+def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, bool]:
+    """Run the subtrees that the shared counter hands out, one at a time.
+
+    Each finished subtree is checkpointed at once.  Returns the finished
+    ones and whether time ran out; on a timeout the counter is moved past
+    the end, so that no other worker starts a subtree either.
+    """
+    finished = []
+    while True:
+        with next_index.get_lock():
+            i = next_index.value
+            next_index.value += 1
+        if i >= len(args):
+            return finished, False
+        n, mode, task_id, deadline_at = args[i]
+        try:
+            if deadline_at is not None and time.monotonic() > deadline_at:
+                raise TimeBudgetExceeded
+            classes = _run_subtree(args[i])[1]
+        except TimeBudgetExceeded:
+            _drop_queued(next_index, len(args))
+            return finished, True
+        if ckpt_dir is not None:
+            path = _checkpoint_path(ckpt_dir, mode, n, task_id)
+            _store_checkpoint(path, mode, n, task_id, classes)
+        finished.append((task_id, classes))
+
+
+def _drop_queued(next_index, end: int) -> None:
+    with next_index.get_lock():
+        next_index.value = end
+
+
+_worker_next_index = None  # set at worker start: a shared Value cannot go into a task
+
+
+def _share_next_index(next_index) -> None:
+    global _worker_next_index
+    _worker_next_index = next_index
+
+
+def _run_shared_subtrees(args: list, ckpt_dir: Path | None) -> tuple[list, bool]:
+    return _run_subtrees(args, ckpt_dir, _worker_next_index)
+
+
 def _checkpoint_path(directory: Path, mode: str, n: int, task_id) -> Path:
     suffix = "-".join(f"{r:04d}" for r in task_id)
     return directory / f"{mode}-n{n}-task{suffix}.json"
@@ -583,46 +646,38 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
                 continue
         pending.append(task_id)
 
-    def record(task_id, classes: list[bytes]) -> None:
-        merged.update(classes)
-        completed.append(task_id)
-        if ckpt_dir is not None:
-            _store_checkpoint(
-                _checkpoint_path(ckpt_dir, task.mode, n, task_id),
-                task.mode,
-                n,
-                task_id,
-                classes,
-            )
-
-    def out_of_time() -> bool:
-        return deadline_at is not None and time.monotonic() > deadline_at
-
+    # the workers take subtrees one at a time from a shared counter, so a
+    # heavy subtree never holds up others queued behind it, and the pool
+    # gets one future per worker rather than one per subtree
     args = [(n, task.mode, task_id, deadline_at) for task_id in pending]
+    next_index = multiprocessing.Value("i", 0)
+    workers = min(task.jobs, len(args))
     try:
-        if task.jobs == 1 or len(args) <= 1:
-            for a in args:
-                if out_of_time():
-                    raise TimeBudgetExceeded
-                task_id, classes = _run_subtree(a)
-                record(task_id, classes)
+        if workers <= 1:
+            runs = [_run_subtrees(args, ckpt_dir, next_index)]
         else:
-            with ProcessPoolExecutor(max_workers=task.jobs) as pool:
-                futures = {pool.submit(_run_subtree, a) for a in args}
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_share_next_index,
+                initargs=(next_index,),
+            ) as pool:
+                futures = [
+                    pool.submit(_run_shared_subtrees, args, ckpt_dir)
+                    for _ in range(workers)
+                ]
                 try:
-                    for fut in as_completed(set(futures)):
-                        futures.discard(fut)
-                        record(*fut.result())
-                        if out_of_time():
-                            raise TimeBudgetExceeded
-                except TimeBudgetExceeded:
-                    # drop the queued subtrees, let the running ones reach
-                    # their own deadline, and keep every one that finished
-                    pool.shutdown(cancel_futures=True)
-                    for fut in futures:
-                        if not fut.cancelled() and fut.exception() is None:
-                            record(*fut.result())
+                    runs = [fut.result() for fut in futures]
+                except BaseException:
+                    # an interrupt or a failed worker: start no further
+                    # subtree; the running ones finish and are checkpointed
+                    _drop_queued(next_index, len(args))
                     raise
+        for finished, _ in runs:
+            for task_id, classes in finished:
+                merged.update(classes)
+                completed.append(task_id)
+        if any(timed_out for _, timed_out in runs):
+            raise TimeBudgetExceeded
     except TimeBudgetExceeded:
         raise PartialResultError(
             f"time budget of {task.time_budget}s exceeded with "
@@ -645,7 +700,7 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
                 if is_mp != task.multipermutation:
                     continue
             keep.append((blob, sol))
-        result = EnumerationResult(n, task.mode, [b for b, _ in keep], filtered=True)
+        result = EnumerationResult(n, task.mode, [b for b, _ in keep])
         result.classes = [sol for _, sol in keep]  # already rebuilt above
     return result
 

@@ -168,6 +168,70 @@ def lex_min_relabeling(tables, relabelings) -> tuple[bytes, list[Perm]]:
     return bytes(best), ties
 
 
+def has_smaller_relabeling(rows) -> bool:
+    """Whether some relabeling g with g({0..k-1}) = {0..k-1}, k = len(rows),
+    makes the rows strictly smaller.
+
+    `rows` are the first k rows of an n x n table on the points.  Relabelled,
+    row i has entry j = g[rows[g^-1(i)][g^-1(j)]], and rows compare in the
+    order `lex_min_relabeling` serializes them.  Branch and bound over partial
+    relabelings: row 0 is compared entry by entry, the point of label j is
+    chosen when column j needs it, and an entry whose point has no label yet
+    is bounded below by the next free label on its side of k; a tie with that
+    bound forces the label.  Labels are thus handed out in ascending order on
+    each side, and row 0 assigns them all, so rows 1..k-1 compare outright.
+    """
+    k = len(rows)
+    if k == 0:
+        return False
+    n = len(rows[0])
+    first = rows[0]
+    targets = [list(r) for r in rows]
+    g = [-1] * n  # point -> label
+    h = [-1] * n  # label -> point
+    free = [0, k]  # next free label below k, and from k on
+
+    def column(j: int) -> bool:
+        if j == n:
+            for i in range(1, k):
+                r = rows[h[i]]
+                row = [g[r[x]] for x in h]
+                if row != targets[i]:
+                    return row < targets[i]
+            return False
+        if h[j] < 0:
+            side = j >= k
+            free[side] = j + 1
+            for q in range(k, n) if side else range(k):
+                if g[q] < 0:
+                    g[q] = j
+                    h[j] = q
+                    if column(j):
+                        return True
+                    g[q] = -1
+            h[j] = -1
+            free[side] = j
+            return False
+        p = rows[h[0]][h[j]]
+        v = g[p]
+        t = first[j]
+        if v < 0:
+            side = p >= k
+            v = free[side]
+            if v == t:
+                g[p] = v
+                h[v] = p
+                free[side] = v + 1
+                if column(j + 1):
+                    return True
+                g[p] = h[v] = -1
+                free[side] = v
+                return False
+        return v < t if v != t else column(j + 1)
+
+    return column(0)
+
+
 def tables_from_bytes(blob: bytes, count: int) -> tuple[Table, ...]:
     """Split a serialization back into `count` square tables."""
     n = round((len(blob) / count) ** 0.5)

@@ -2,9 +2,12 @@
 
 The brute-force class sets prune nothing beyond validity, so they are slow
 and kept to small sizes.  `involutive_row_ok` is the row filter the
-involutive search used before it built rows cell by cell.  The last two
-helpers give the two sides of the orbit-counting identity: the number of
-labeled solutions equals the sum of n!/|Aut(s)| over the classes s.
+involutive search used before it built rows cell by cell, and
+`unpruned_involutive_search` the search before the lex-leader prune: it
+canonicalizes every leaf.  `smaller_relabeling_brute` tries every
+relabeling the prune may use.  The last two helpers give the two sides of
+the orbit-counting identity: the number of labeled solutions equals the sum
+of n!/|Aut(s)| over the classes s.
 """
 
 from __future__ import annotations
@@ -104,27 +107,66 @@ def involutive_row_ok(rows: list[int], k: int, perms, mul, inv) -> bool:
     return True
 
 
+def row_generator_nodes(n: int, sig: list, sinv: list, depth: int):
+    """The node sig and the nodes up to `depth` levels below it, as
+    (rows, inverse rows); no cuts, and the lists are reused as the walk goes on."""
+    yield sig, sinv
+    if depth > 0 and len(sig) < n:
+        for row in enumeration._involutive_rows(sig, sinv, n):
+            sig.append(row)
+            sinv.append(invert(row))
+            yield from row_generator_nodes(n, sig, sinv, depth - 1)
+            sig.pop()
+            sinv.pop()
+
+
+def _valid_leaves(n: int, sig: list, sinv: list):
+    """Every valid leaf the row generator reaches below sig."""
+    for rows, inverses in row_generator_nodes(n, sig, sinv, n):
+        if len(rows) == n:
+            leaf = enumeration._involutive_leaf(n, rows, inverses)
+            if leaf is not None:
+                yield leaf
+
+
+def unpruned_involutive_search(n: int, prefix) -> set[bytes]:
+    """Canonical forms of every valid leaf below a subtree prefix.
+
+    The involutive search without the lex-leader prune: each leaf the row
+    generator reaches is checked and canonicalized over all of Sym(n).
+    """
+    perms = all_perms(n)
+    sig = [perms[r] for r in prefix]
+    sinv = [invert(p) for p in sig]
+    if not all(enumeration._row_products_hold(sig, sinv, k, n) for k in range(len(sig))):
+        return set()
+    return {solutions.canonical_form(leaf) for leaf in _valid_leaves(n, sig, sinv)}
+
+
+def smaller_relabeling_brute(rows) -> bool:
+    """Whether some g with g({0..k-1}) = {0..k-1}, k = len(rows), makes the
+    relabelled rows strictly smaller; all k!(n-k)! such g are tried."""
+    k = len(rows)
+    if k == 0:
+        return False
+    n = len(rows[0])
+    target = [list(r) for r in rows]
+    for low in permutations(range(k)):
+        for high in permutations(range(k, n)):
+            g = low + high
+            h = invert(g)
+            if [[g[rows[h[i]][h[j]]] for j in range(n)] for i in range(k)] < target:
+                return True
+    return False
+
+
 def labeled_involutive_count(n):
     """Labeled involutive solutions of size n, by the row generator alone.
 
     No symmetry cuts and no canonical forms: every row the generator yields
     is followed, from an empty prefix, and every valid leaf counts.
     """
-    sig, sinv = [], []
-
-    def dfs():
-        if len(sig) == n:
-            return enumeration._involutive_leaf(n, sig, sinv) is not None
-        total = 0
-        for row in enumeration._involutive_rows(sig, sinv, n):
-            sig.append(row)
-            sinv.append(invert(row))
-            total += dfs()
-            sig.pop()
-            sinv.pop()
-        return total
-
-    return dfs()
+    return sum(1 for _ in _valid_leaves(n, [], []))
 
 
 def orbit_sum(classes):

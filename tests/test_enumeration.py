@@ -1,3 +1,4 @@
+import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,6 +9,9 @@ from oracles import (
     involutive_row_ok,
     labeled_involutive_count,
     orbit_sum,
+    row_generator_nodes,
+    smaller_relabeling_brute,
+    unpruned_involutive_search,
 )
 
 from yangbaxter import braces, enumeration, solutions
@@ -20,6 +24,7 @@ from yangbaxter.enumeration import (
     enumerate_braces,
     enumerate_solutions,
 )
+from yangbaxter.perms import all_perms, has_smaller_relabeling
 
 
 def run(n, mode, **kw):
@@ -135,6 +140,42 @@ def test_labeled_count_is_the_orbit_sum(n, labeled, involutive_corpus):
 
 
 # ---------------------------------------------------------------------------
+# the lex-leader prune
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lex_leader_check_matches_brute_force_on_search_nodes(n):
+    for rows, _ in row_generator_nodes(n, [], [], depth=n):
+        assert has_smaller_relabeling(rows) == smaller_relabeling_brute(rows), rows
+
+
+def test_lex_leader_check_matches_brute_force_on_size5_subtree_prefixes():
+    perms = all_perms(5)
+    for prefix in enumeration.subtree_tasks(5):
+        rows = [perms[r] for r in prefix]
+        assert has_smaller_relabeling(rows) == smaller_relabeling_brute(rows), rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orderly_search_matches_unpruned_oracle_per_subtree(n):
+    orderly, oracle = [], []
+    for prefix in enumeration.subtree_tasks(n):
+        orderly.append(
+            enumeration._search_involutive(n, prefix, enumeration._Deadline(None))
+        )
+        oracle.append(unpruned_involutive_search(n, prefix))
+        # a subtree emits only classes the unpruned search reaches in it
+        assert orderly[-1] <= oracle[-1], prefix
+    classes = set().union(*orderly)
+    assert classes == set().union(*oracle)
+    # each class comes from exactly one subtree ...
+    assert sum(map(len, orderly)) == len(classes)
+    # ... as the serialization of its canonical member
+    for blob in classes:
+        assert solutions.canonical_form(solutions.solution_from_canonical(blob)) == blob
+
+
+# ---------------------------------------------------------------------------
 # caps, filters, determinism, checkpoints
 
 
@@ -230,6 +271,82 @@ def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("*.json"))) == len(returned)
     # ... and the queued ones were cancelled, not run
     assert len(started) < len(tasks)
+
+
+def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
+    tmp_path, monkeypatch
+):
+    # the worker runs out of time on its second subtree: by then the first is
+    # on disk, and the counter is moved past the end so no worker starts more
+    tasks = enumeration.subtree_tasks(4)
+    real = enumeration._run_subtree
+    on_disk = []
+
+    def run_subtree(args):
+        if args[2] == tasks[1]:
+            on_disk.extend(tmp_path.glob("*.json"))
+            raise enumeration.TimeBudgetExceeded
+        return real(args)
+
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    args = [(4, "involutive", t, None) for t in tasks]
+    next_index = multiprocessing.Value("i", 0)
+    finished, timed_out = enumeration._run_subtrees(args, tmp_path, next_index)
+    assert timed_out
+    assert [t for t, _ in finished] == [tasks[0]]
+    first = enumeration._checkpoint_path(tmp_path, "involutive", 4, tasks[0])
+    assert on_disk == [first]
+    assert next_index.value == len(args)
+
+
+def test_worker_stops_at_the_deadline_between_subtrees():
+    # subtrees this small never reach the in-search clock check
+    past = time.monotonic() - 1
+    late = [(3, "involutive", t, past) for t in enumeration.subtree_tasks(3)]
+    counter = multiprocessing.Value("i", 0)
+    assert enumeration._run_subtrees(late, None, counter) == ([], True)
+    counter.value = 0
+    on_time = [(*a[:3], None) for a in late]
+    finished, timed_out = enumeration._run_subtrees(on_time, None, counter)
+    assert not timed_out and len(finished) == len(late)
+
+
+def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatch):
+    # an interrupt in one worker: the other finishes the subtree it is on,
+    # which is checkpointed, and starts no other
+    tasks = enumeration.subtree_tasks(4)
+    real = enumeration._run_subtree
+    started, returned = [], []
+
+    def run_subtree(args):
+        started.append(args[2])
+        if args[2] == tasks[0]:
+            raise KeyboardInterrupt
+        time.sleep(0.05)
+        result = real(args)
+        returned.append(args[2])
+        return result
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    with pytest.raises(KeyboardInterrupt):
+        run(4, "involutive", jobs=2, checkpoint_dir=tmp_path)
+    assert len(list(tmp_path.glob("*.json"))) == len(returned)
+    assert len(started) < len(tasks)
+
+
+def test_parallel_run_submits_one_future_per_worker(monkeypatch):
+    submitted = []
+
+    class CountingPool(enumeration.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
+    assert run(5, "involutive", jobs=2).total == 88
+    # not one future per subtree (834 at n = 5)
+    assert len(submitted) == 2
 
 
 # ---------------------------------------------------------------------------

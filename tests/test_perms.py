@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import smaller_relabeling_brute
 
 from yangbaxter import perms
 
@@ -93,6 +94,29 @@ def test_lex_min_relabeling_matches_unpruned_minimum(tables):
     assert perms.tables_from_bytes(best, 2) in {
         tuple(perms.relabel_table(t, f) for t in tables) for f in perms.all_perms(n)
     }
+
+
+@st.composite
+def permutation_tables(draw):
+    n = draw(st.integers(1, 4))
+    # rows from a small pool, so that relabelings often tie on a row
+    pool = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=permutation_tables())
+def test_has_smaller_relabeling_matches_brute_force(rows):
+    for k in range(len(rows) + 1):
+        assert perms.has_smaller_relabeling(rows[:k]) == smaller_relabeling_brute(rows[:k])
+
+
+def test_has_smaller_relabeling_keeps_the_first_k_points_together():
+    # swapping 0 and 1 puts the smaller row 1 first, but at k = 1 the
+    # relabeling must fix point 0
+    rows = [(0, 2, 1), (0, 1, 2)]
+    assert not perms.has_smaller_relabeling(rows[:1])
+    assert perms.has_smaller_relabeling(rows)
 
 
 def test_tables_from_bytes_checks_the_shape():
