@@ -8,23 +8,26 @@ The solution search backtracks over the rows of the sigma family (and, in
     each sigma row is built one cell at a time and a partial row is dropped
     as soon as the identity fails pointwise on its known entries; a row the
     identity on earlier rows fixes outright is tried alone;
-  * in `all` mode the identity is checked on sigma rows the moment all four
-    rows are known, and pins each value tau_y(x) to the set of rows carrying
-    a prescribed permutation, which yields cell domains for the tau rows
-    plus a pigeonhole bound during the sigma phase;
+  * in `all` mode the identity makes the row sigma_{tau_y(x)} equal to
+    sigma_u^-1 sigma_x sigma_y: during the sigma phase these required rows
+    must fit into the rows still to be placed (a pigeonhole bound), and
+    they pin each value tau_y(x) to the rows carrying them, which yields
+    cell domains for the tau rows;
   * partial injectivity of the pair map;
   * the remaining braid components on resolved triples.
 
-The involutive search is orderly (lex-leader): a node whose k >= 2 sigma
-rows some relabeling of {0..k-1} onto itself makes strictly smaller is cut,
-so the search reaches only the canonical member of each class, and a leaf
-that survives is validated in full and emitted as its own serialization.
-The `all` search validates every leaf in full, canonicalizes it and
+One symmetry rule (lex-leader, as in orderly generation) serves both
+searches: a node whose k >= 2 sigma rows some relabeling of {0..k-1} onto
+itself makes strictly smaller is cut, and the same test at k = 1 and k = 2
+picks the subtree keys, the first two sigma rows.  The canonical member of a
+class is never cut, since its serialization starts with the sigma rows.  In
+involutive mode tau is fixed by sigma, so a leaf that survives is that
+member; it is validated in full and emitted as its own serialization.  The
+`all` search validates every leaf in full, canonicalizes it and
 deduplicates.  Either way the pruning only ever affects speed, never the
-produced class set.  Work splits into independent subtrees keyed by the
-first two sigma rows, which the workers take one at a time from a shared
-counter, checkpointing each as it finishes; merged output is a sorted
-canonical list, identical for any parallelism degree.
+produced class set.  The workers take the subtrees one at a time from a
+shared counter, checkpointing each as it finishes; merged output is a
+sorted canonical list, identical for any parallelism degree.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain
 from pathlib import Path
 
 from . import braces as braces_mod
@@ -45,7 +48,7 @@ from .perms import all_perms, compose, has_smaller_relabeling, invert, tables_fr
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class EnumerationCapError(ValueError):
@@ -128,88 +131,28 @@ class EnumerationResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared Sym(n) tables
-
-_TABLE_CACHE: dict[int, tuple] = {}
-
-
-def _sym_tables(n: int):
-    """(perm list, index map, composition table, inverse table) for Sym(n)."""
-    cached = _TABLE_CACHE.get(n)
-    if cached is not None:
-        return cached
-    perms = all_perms(n)
-    index = {p: i for i, p in enumerate(perms)}
-    inv = [index[invert(p)] for p in perms]
-    mul = [
-        [index[compose(p, q)] for q in perms] for p in perms
-    ]
-    _TABLE_CACHE[n] = (perms, index, mul, inv)
-    return _TABLE_CACHE[n]
-
-
-def _first_row_representatives(n: int) -> list[int]:
-    """Lex-minimal representatives of point-0-stabilizer conjugacy orbits.
-
-    Relabeling a solution by any g with g(0) = 0 keeps row 0 in place and
-    conjugates it, so every isomorphism class has a labeled member whose
-    first sigma row is the minimum of its orbit under conjugation by
-    permutations fixing 0.  Searching only those first rows is therefore
-    complete, and removes the conjugate-redundant top-level branches.
-    """
-    perms = all_perms(n)
-    index = {p: i for i, p in enumerate(perms)}
-    stab = [
-        (0,) + rest for rest in permutations(range(1, n))
-    ]
-    reps = []
-    for i, p in enumerate(perms):
-        smallest = min(
-            index[compose(compose(g, p), invert(g))] for g in stab
-        )
-        if smallest == i:
-            reps.append(i)
-    return reps
-
-
-def _second_row_candidates(n: int, first_row: int) -> list[int]:
-    """Sound restriction of the second sigma row given the first.
-
-    Permutations fixing points 0 and 1 that centralize the first row act on
-    solutions by relabeling without moving rows 0, 1 or changing row 0, so
-    the second row only needs to range over the minima of its conjugation
-    orbits under that stabilizer.
-    """
-    perms, index, mul, inv = _sym_tables(n)
-    if n < 2:
-        return list(range(len(perms)))
-    stab = [
-        index[(0, 1) + rest]
-        for rest in permutations(range(2, n))
-    ]
-    centralizer = [
-        g for g in stab if mul[g][first_row] == mul[first_row][g]
-    ]
-    return [
-        c
-        for c in range(len(perms))
-        if all(mul[mul[g][c]][inv[g]] >= c for g in centralizer)
-    ]
+# Subtrees: the first two sigma rows
 
 
 def subtree_tasks(n: int) -> list[tuple[int, ...]]:
-    """Independent search subtrees: symmetry-reduced (row0, row1) prefixes.
+    """Independent search subtrees: (row0, row1) index pairs into `all_perms(n)`.
 
-    Size 1 has a single empty-prefix task.  The identifiers double as
-    checkpoint keys, so a given (size, mode) run always produces the same
-    task list in the same order.
+    A pair is kept when no relabeling fixing 0 makes row 0 smaller and none
+    mapping {0, 1} onto itself makes rows 0, 1 smaller: the lex-leader rule
+    of the searches at k = 1 and k = 2.  The canonical member of every class
+    passes both, since its serialization starts with these rows.  Size 1 has
+    a single task.  The identifiers double as checkpoint keys, so a given
+    (size, mode) run always produces the same task list in the same order.
     """
     if n == 1:
         return [(0,)]
+    perms = all_perms(n)
     return [
         (r0, r1)
-        for r0 in _first_row_representatives(n)
-        for r1 in _second_row_candidates(n, r0)
+        for r0, p0 in enumerate(perms)
+        if not has_smaller_relabeling([p0])
+        for r1, p1 in enumerate(perms)
+        if not has_smaller_relabeling([p0, p1])
     ]
 
 
@@ -329,10 +272,10 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
     Orderly generation: a node whose k >= 2 sigma rows some relabeling of
     {0..k-1} onto itself makes strictly smaller has no canonical member below
     it, since every completion is beaten by the same relabeling.  The
-    canonical member of a class is never cut: its first two rows are orbit
-    minima, so it lies inside one subtree, and no relabeling lowers any
-    prefix of it.  A leaf that survives at k = n is that member, and since
-    tau is fixed by sigma, its own serialization is its canonical form.
+    canonical member of a class is never cut: no relabeling lowers any
+    prefix of it, so its first two rows form a subtree key.  A leaf that
+    survives at k = n is that member, and since tau is fixed by sigma, its
+    own serialization is its canonical form.
     """
     perms = all_perms(n)
     found: set[bytes] = set()
@@ -366,33 +309,38 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
 # General search: sigma phase, then tau rows over forced cell domains
 
 
-def _sigma_phase_ok(rows: list[int], k: int, n: int, perms, mul, inv) -> bool:
-    assigned = set(rows)
-    pending: set[int] = set()
-    for x in range(k + 1):
-        appx = perms[rows[x]]
-        for y in range(k + 1):
-            u = appx[y]
-            if u > k:
-                continue
-            required = mul[mul[inv[rows[u]]][rows[x]]][rows[y]]
-            if required not in assigned:
-                pending.add(required)
-    return len(pending) <= n - 1 - k
+def _required_row(sig, sinv, x: int, y: int) -> tuple[int, ...]:
+    """sigma_u^-1 sigma_x sigma_y with u = sigma_x(y): by the row-product
+    identity, the row sigma_{tau_y(x)} equals it."""
+    sx = sig[x]
+    su_inv = sinv[sx[y]]
+    return tuple([su_inv[sx[v]] for v in sig[y]])
 
 
-def _tau_domains(rows: list[int], n: int, perms, mul, inv):
-    """Cell domains D[y][x]: candidate values for tau_y(x), or None if empty."""
-    by_value: dict[int, list[int]] = {}
-    for t, rv in enumerate(rows):
-        by_value.setdefault(rv, []).append(t)
+def _new_required_rows(sig, sinv, k: int) -> set[tuple[int, ...]]:
+    """The required rows of the pairs x, y <= k with u = sigma_x(y) <= k in
+    which one of x, y, u is k; the pairs within rows below k came earlier."""
+    sk = sig[k]
+    pairs = [(k, y) for y in range(k + 1) if sk[y] <= k]
+    for x in range(k):
+        if sig[x][k] <= k:
+            pairs.append((x, k))
+        y = sinv[x][k]
+        if y < k:
+            pairs.append((x, y))
+    return {_required_row(sig, sinv, x, y) for x, y in pairs}
+
+
+def _tau_domains(sig, sinv, n: int):
+    """Cell domains D[y][x]: candidate values for tau_y(x), or None if one is empty."""
+    by_row: dict[tuple[int, ...], list[int]] = {}
+    for t, row in enumerate(sig):
+        by_row.setdefault(row, []).append(t)
     domains = []
     for y in range(n):
         drow = []
         for x in range(n):
-            u = perms[rows[x]][y]
-            required = mul[mul[inv[rows[u]]][rows[x]]][rows[y]]
-            opts = by_value.get(required)
+            opts = by_row.get(_required_row(sig, sinv, x, y))
             if not opts:
                 return None
             drow.append(opts)
@@ -421,11 +369,11 @@ def _tau_row_candidates(domain_row, n: int):
     return out
 
 
-def _tau_rows_ok(srows, trows, k: int, n: int, perms, mul, sig) -> bool:
+def _tau_rows_ok(trows, k: int, n: int, sig) -> bool:
     # braid component 3: tau_{tau_z(y)} o tau_{sigma_y(z)} = tau_z o tau_y
     for y in range(k + 1):
         for z in range(k + 1):
-            a = perms[trows[z]][y]
+            a = trows[z][y]
             if a > k:
                 continue
             b = sig[y][z]
@@ -433,14 +381,14 @@ def _tau_rows_ok(srows, trows, k: int, n: int, perms, mul, sig) -> bool:
                 continue
             if y != k and z != k and a != k and b != k:
                 continue
-            if mul[trows[a]][trows[b]] != mul[trows[z]][trows[y]]:
+            ta, tz = trows[a], trows[z]
+            if [ta[v] for v in trows[b]] != [tz[v] for v in trows[y]]:
                 return False
     # braid component 2 on resolved triples
     for y in range(k + 1):
-        tr_y = perms[trows[y]]
+        tr_y = trows[y]
         for x in range(n):
-            t = tr_y[x]
-            sig_t = sig[t]
+            sig_t = sig[tr_y[x]]
             for z in range(k + 1):
                 w = sig_t[z]
                 if w > k:
@@ -450,14 +398,12 @@ def _tau_rows_ok(srows, trows, k: int, n: int, perms, mul, sig) -> bool:
                     continue
                 if y != k and z != k and w != k and v != k:
                     continue
-                left = perms[trows[w]][sig[x][y]]
-                right = sig[perms[trows[v]][x]][perms[trows[z]][y]]
-                if left != right:
+                if trows[w][sig[x][y]] != sig[trows[v][x]][trows[z][y]]:
                     return False
     # partial injectivity of the pair map on determined columns
     seen = set()
     for y in range(k + 1):
-        tr_y = perms[trows[y]]
+        tr_y = trows[y]
         for x in range(n):
             code = sig[x][y] * n + tr_y[x]
             if code in seen:
@@ -467,49 +413,60 @@ def _tau_rows_ok(srows, trows, k: int, n: int, perms, mul, sig) -> bool:
 
 
 def _search_all(n: int, prefix, deadline: _Deadline) -> set[bytes]:
-    perms, _, mul, inv = _sym_tables(n)
-    found: set[bytes] = set()
-    srows = list(prefix)
+    """Canonical forms of the classes whose canonical member lies below prefix.
 
-    def tau_phase(sigma_rows: list[int]) -> None:
-        domains = _tau_domains(sigma_rows, n, perms, mul, inv)
+    The sigma rows, the prefix's first, are cut by the lex-leader rule of
+    the involutive search and by a pigeonhole bound: the rows required by
+    the row-product identity on the resolved pairs must fit into the rows
+    still to be placed.  A sigma table that passes the rule at k = n is the
+    least of its class, the canonical member's.  Tau is not fixed by sigma,
+    so every leaf is validated in full and canonicalized.
+    """
+    perms = all_perms(n)
+    inverses = [invert(p) for p in perms]
+    found: set[bytes] = set()
+    sig: list[tuple[int, ...]] = []
+    sinv: list[tuple[int, ...]] = []
+
+    def tau_phase() -> None:
+        domains = _tau_domains(sig, sinv, n)
         if domains is None:
             return
-        sig = [perms[r] for r in sigma_rows]
-        perm_index = _sym_tables(n)[1]
-        trows: list[int] = []
+        sigma = tuple(sig)
+        trows: list[tuple[int, ...]] = []
 
         def dfs_tau(k: int) -> None:
             deadline.tick()
             if k == n:
-                sigma = tuple(sig)
-                tau = tuple(perms[r] for r in trows)
+                tau = tuple(trows)
                 if solutions.diagnose(n, sigma, tau) is None:
                     found.add(solutions.canonical_form(Solution(n, sigma, tau)))
                 return
             for cand in _tau_row_candidates(domains[k], n):
-                trows.append(perm_index[cand])
-                if _tau_rows_ok(sigma_rows, trows, k, n, perms, mul, sig):
+                trows.append(cand)
+                if _tau_rows_ok(trows, k, n, sigma):
                     dfs_tau(k + 1)
                 trows.pop()
 
         dfs_tau(0)
 
-    def dfs_sigma(k: int) -> None:
+    def dfs_sigma(k: int, required: set) -> None:
         deadline.tick()
-        if k == n:
-            tau_phase(srows)
+        if k >= 2 and has_smaller_relabeling(sig):
             return
-        for cand in range(len(perms)):
-            srows.append(cand)
-            if _sigma_phase_ok(srows, k, n, perms, mul, inv):
-                dfs_sigma(k + 1)
-            srows.pop()
+        if k == n:
+            tau_phase()
+            return
+        for r in [prefix[k]] if k < len(prefix) else range(len(perms)):
+            sig.append(perms[r])
+            sinv.append(inverses[r])
+            grown = required | _new_required_rows(sig, sinv, k)
+            if len(grown.difference(sig)) <= n - 1 - k:
+                dfs_sigma(k + 1, grown)
+            sig.pop()
+            sinv.pop()
 
-    for k in range(len(srows)):
-        if not _sigma_phase_ok(srows[: k + 1], k, n, perms, mul, inv):
-            return found
-    dfs_sigma(len(srows))
+    dfs_sigma(0, set())
     return found
 
 
@@ -578,6 +535,12 @@ def _checkpoint_path(directory: Path, mode: str, n: int, task_id) -> Path:
 
 
 def _load_checkpoint(path: Path, mode: str, n: int, task_id) -> list[bytes] | None:
+    """The stored classes of a subtree, or None if it has no checkpoint.
+
+    Each class must decode to a valid solution of size n (involutive in
+    involutive mode) and be its own canonical form; anything else raises
+    CheckpointMismatchError, so that a damaged file never joins the result.
+    """
     if not path.exists():
         return None
     try:
@@ -585,16 +548,36 @@ def _load_checkpoint(path: Path, mode: str, n: int, task_id) -> list[bytes] | No
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
     if (
-        data.get("version") != CHECKPOINT_VERSION
+        not isinstance(data, dict)
+        or data.get("version") != CHECKPOINT_VERSION
         or data.get("mode") != mode
         or data.get("size") != n
-        or tuple(data.get("task", ())) != tuple(task_id)
+        or data.get("task") != list(task_id)
     ):
         raise CheckpointMismatchError(
             f"checkpoint {path} does not match this run "
             f"(wanted version={CHECKPOINT_VERSION} mode={mode} size={n} task={task_id})"
         )
-    return [bytes.fromhex(h) for h in data["classes"]]
+    hexes = data.get("classes")
+    if not isinstance(hexes, list) or not all(isinstance(h, str) for h in hexes):
+        raise CheckpointMismatchError(f"checkpoint {path} has no list of classes")
+    blobs = []
+    for h in hexes:
+        try:
+            blob = bytes.fromhex(h)
+            sol = solutions.solution_from_canonical(blob)
+        except ValueError as exc:
+            raise CheckpointMismatchError(f"checkpoint {path}: bad class {h!r}: {exc}") from exc
+        if (
+            sol.size != n
+            or (mode == "involutive" and not sol.involutive)
+            or solutions.canonical_form(sol) != blob
+        ):
+            raise CheckpointMismatchError(
+                f"checkpoint {path}: {h!r} is not a canonical {mode} class of size {n}"
+            )
+        blobs.append(blob)
+    return blobs
 
 
 def _store_checkpoint(

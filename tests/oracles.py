@@ -2,22 +2,24 @@
 
 The brute-force class sets prune nothing beyond validity, so they are slow
 and kept to small sizes.  `involutive_row_ok` is the row filter the
-involutive search used before it built rows cell by cell, and
-`unpruned_involutive_search` the search before the lex-leader prune: it
-canonicalizes every leaf.  `smaller_relabeling_brute` tries every
-relabeling the prune may use.  The last two helpers give the two sides of
-the orbit-counting identity: the number of labeled solutions equals the sum
-of n!/|Aut(s)| over the classes s.
+involutive search used before it built rows cell by cell, on the index
+tables of Sym(n) from `sym_tables`.  `unpruned_involutive_search` and
+`unpruned_all_search` are the two searches without the lex-leader prune,
+the second on those index tables: they canonicalize every leaf.
+`smaller_relabeling_brute` tries every relabeling the prune may use.  The
+last two helpers give the two sides of the orbit-counting identity: the
+number of labeled solutions equals the sum of n!/|Aut(s)| over the classes s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import permutations, product
 
 from yangbaxter import braces, enumeration, groups, solutions
 from yangbaxter.braces import SkewBrace
-from yangbaxter.perms import all_perms, invert
+from yangbaxter.perms import all_perms, compose, invert
 
 
 def brute_force_solutions(n: int) -> list[bytes]:
@@ -81,6 +83,17 @@ def _all_group_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
+@functools.cache
+def sym_tables(n: int):
+    """(perm list, index map, composition table, inverse table) for Sym(n),
+    the permutations as their indices in `all_perms(n)`."""
+    perms = all_perms(n)
+    index = {p: i for i, p in enumerate(perms)}
+    inv = [index[invert(p)] for p in perms]
+    mul = [[index[compose(p, q)] for q in perms] for p in perms]
+    return perms, index, mul, inv
+
+
 def involutive_row_ok(rows: list[int], k: int, perms, mul, inv) -> bool:
     """Row-product identity on the pairs whose last row is row k.
 
@@ -141,6 +154,89 @@ def unpruned_involutive_search(n: int, prefix) -> set[bytes]:
     if not all(enumeration._row_products_hold(sig, sinv, k, n) for k in range(len(sig))):
         return set()
     return {solutions.canonical_form(leaf) for leaf in _valid_leaves(n, sig, sinv)}
+
+
+def unpruned_all_search(n: int, prefix) -> set[bytes]:
+    """Canonical forms of every valid leaf the all-mode search reaches below a
+    subtree prefix, without the lex-leader prune, on index tables.
+
+    A sigma node is kept while the rows sigma_u^-1 sigma_x sigma_y that the
+    row-product identity requires (x, y, u = sigma_x(y) among the placed
+    rows) fit into the rows still free; tau rows range over the cell
+    domains those rows give and are kept while the braid components and the
+    pair map's injectivity hold on the resolved cells.
+    """
+    perms, index, mul, inv = sym_tables(n)
+    found: set[bytes] = set()
+    srows = list(prefix)
+
+    def sigma_ok(k: int) -> bool:
+        required = set()
+        for x in range(k + 1):
+            for y in range(k + 1):
+                u = perms[srows[x]][y]
+                if u <= k:
+                    required.add(mul[mul[inv[srows[u]]][srows[x]]][srows[y]])
+        return len(required - set(srows[: k + 1])) <= n - 1 - k
+
+    def tau_ok(trows, sig, k: int) -> bool:
+        for y in range(k + 1):
+            for z in range(k + 1):
+                a, b = perms[trows[z]][y], sig[y][z]
+                if max(a, b) <= k and k in (y, z, a, b):
+                    if mul[trows[a]][trows[b]] != mul[trows[z]][trows[y]]:
+                        return False
+        for y in range(k + 1):
+            for x in range(n):
+                for z in range(k + 1):
+                    w, v = sig[perms[trows[y]][x]][z], sig[y][z]
+                    if max(w, v) <= k and k in (y, z, w, v):
+                        left = perms[trows[w]][sig[x][y]]
+                        right = sig[perms[trows[v]][x]][perms[trows[z]][y]]
+                        if left != right:
+                            return False
+        codes = [sig[x][y] * n + perms[trows[y]][x] for y in range(k + 1) for x in range(n)]
+        return len(set(codes)) == len(codes)
+
+    def tau_phase() -> None:
+        sig = [perms[r] for r in srows]
+        domains = []
+        for y in range(n):
+            drow = []
+            for x in range(n):
+                u = sig[x][y]
+                required = mul[mul[inv[srows[u]]][srows[x]]][srows[y]]
+                drow.append([t for t in range(n) if srows[t] == required])
+            domains.append(drow)
+        trows: list[int] = []
+
+        def dfs_tau(k: int) -> None:
+            if k == n:
+                tau = tuple(perms[r] for r in trows)
+                if solutions.diagnose(n, tuple(sig), tau) is None:
+                    found.add(solutions.canonical_form(solutions.Solution(n, tuple(sig), tau)))
+                return
+            for cand in enumeration._tau_row_candidates(domains[k], n):
+                trows.append(index[cand])
+                if tau_ok(trows, sig, k):
+                    dfs_tau(k + 1)
+                trows.pop()
+
+        dfs_tau(0)
+
+    def dfs_sigma(k: int) -> None:
+        if k == n:
+            tau_phase()
+            return
+        for cand in range(len(perms)):
+            srows.append(cand)
+            if sigma_ok(k):
+                dfs_sigma(k + 1)
+            srows.pop()
+
+    if all(sigma_ok(k) for k in range(len(srows))):
+        dfs_sigma(len(srows))
+    return found
 
 
 def smaller_relabeling_brute(rows) -> bool:

@@ -284,6 +284,18 @@ def test_checkpoint_env_var_override(capsys, tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("involutive-n3-task*.json"))) == len(subtree_tasks(3))
 
 
+def test_version_1_checkpoint_is_refused(capsys, tmp_path):
+    # the subtree keys changed with version 2; (0, 0) is a key in both
+    (tmp_path / "involutive-n3-task0000-0000.json").write_text(json.dumps(
+        {"version": 1, "mode": "involutive", "size": 3, "task": [0, 0], "classes": []}
+    ))
+    code, _, err = run_cli(
+        capsys, "enumerate", "--size", "3", "--involutive", "--checkpoint", str(tmp_path)
+    )
+    assert code == 2
+    assert "does not match this run" in err
+
+
 def test_growth_radius_4_notes_guess_needs_more(capsys, tmp_path):
     from yangbaxter import solutions
 

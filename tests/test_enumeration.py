@@ -1,5 +1,7 @@
+import json
 import multiprocessing
 import time
+from itertools import chain
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,6 +13,8 @@ from oracles import (
     orbit_sum,
     row_generator_nodes,
     smaller_relabeling_brute,
+    sym_tables,
+    unpruned_all_search,
     unpruned_involutive_search,
 )
 
@@ -88,7 +92,7 @@ def test_oracle_equivalence(n):
 
 def _filtered_rows(rows, n):
     """The rows the old filter accepts after `rows`, in `all_perms` order."""
-    perms, _, mul, inv = enumeration._sym_tables(n)
+    perms, _, mul, inv = sym_tables(n)
     k = len(rows)
     return [
         perms[c] for c in range(len(perms))
@@ -98,7 +102,7 @@ def _filtered_rows(rows, n):
 
 def _assert_generator_matches_filter(rows, n, depth):
     """Generator and filter agree after `rows` and `depth` levels below it."""
-    perms, index, _, inv = enumeration._sym_tables(n)
+    perms, index, _, inv = sym_tables(n)
     sig = [perms[r] for r in rows]
     sinv = [perms[inv[r]] for r in rows]
     generated = enumeration._involutive_rows(sig, sinv, n)
@@ -114,7 +118,7 @@ def test_row_generator_matches_row_filter_on_whole_tree(n):
 
 
 def test_row_generator_matches_row_filter_below_size5_subtrees():
-    perms, _, mul, inv = enumeration._sym_tables(5)
+    perms, _, mul, inv = sym_tables(5)
     nodes = 0
     for prefix in enumeration.subtree_tasks(5):
         sig = [perms[r] for r in prefix]
@@ -130,7 +134,7 @@ def test_row_generator_matches_row_filter_below_size5_subtrees():
         if all(checks):
             _assert_generator_matches_filter(list(prefix), 5, depth=1)
             nodes += 1
-    assert nodes == 579
+    assert nodes == 475
 
 
 @pytest.mark.parametrize("n, labeled", [(1, 1), (2, 2), (3, 12), (4, 168)])
@@ -150,10 +154,43 @@ def test_lex_leader_check_matches_brute_force_on_search_nodes(n):
 
 
 def test_lex_leader_check_matches_brute_force_on_size5_subtree_prefixes():
+    # every second row after a first row that passes, so that some are cut
     perms = all_perms(5)
-    for prefix in enumeration.subtree_tasks(5):
-        rows = [perms[r] for r in prefix]
-        assert has_smaller_relabeling(rows) == smaller_relabeling_brute(rows), rows
+    cut = 0
+    for p0 in perms:
+        if smaller_relabeling_brute([p0]):
+            continue
+        for p1 in perms:
+            expected = smaller_relabeling_brute([p0, p1])
+            assert has_smaller_relabeling([p0, p1]) == expected, (p0, p1)
+            cut += expected
+    assert cut > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subtree_keys_are_the_lex_leader_pairs(n):
+    perms = all_perms(n)
+    if n == 1:
+        assert enumeration.subtree_tasks(n) == [(0,)]
+        return
+    assert enumeration.subtree_tasks(n) == [
+        (r0, r1)
+        for r0, p0 in enumerate(perms)
+        if not smaller_relabeling_brute([p0])
+        for r1, p1 in enumerate(perms)
+        if not smaller_relabeling_brute([p0, p1])
+    ]
+
+
+def test_canonical_members_lie_in_subtrees(involutive_corpus):
+    # the first two sigma rows of every canonical serialization index a key
+    blobs = [(n, solutions.canonical_form(s)) for n, c in involutive_corpus.items() for s in c]
+    blobs += [(n, b) for n in range(1, 5) for b in run(n, "all").canonicals]
+    keys = {n: set(enumeration.subtree_tasks(n)) for n, _ in blobs}
+    for n, blob in blobs:
+        index = {p: i for i, p in enumerate(all_perms(n))}
+        key = tuple(index[tuple(blob[i * n : (i + 1) * n])] for i in range(min(n, 2)))
+        assert key in keys[n], blob.hex()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -173,6 +210,20 @@ def test_orderly_search_matches_unpruned_oracle_per_subtree(n):
     # ... as the serialization of its canonical member
     for blob in classes:
         assert solutions.canonical_form(solutions.solution_from_canonical(blob)) == blob
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orderly_all_search_matches_unpruned_oracle_per_subtree(n):
+    orderly, oracle = [], []
+    for prefix in enumeration.subtree_tasks(n):
+        orderly.append(enumeration._search_all(n, prefix, enumeration._Deadline(None)))
+        oracle.append(unpruned_all_search(n, prefix))
+        assert orderly[-1] <= oracle[-1], prefix
+    classes = set().union(*orderly)
+    assert classes == set().union(*oracle)
+    # the lex-leader check at k = n leaves only least sigma tables, the
+    # canonical member's, so a class is found in one subtree only
+    assert sum(map(len, orderly)) == len(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +276,45 @@ def test_checkpoint_mismatch_detected(tmp_path):
     run(3, "involutive", checkpoint_dir=tmp_path)
     victim = next(tmp_path.glob("*.json"))
     victim.write_text('{"version": 99}')
+    with pytest.raises(CheckpointMismatchError):
+        run(3, "involutive", checkpoint_dir=tmp_path)
+
+
+def _damaged_checkpoint(fault):
+    header = {
+        "version": enumeration.CHECKPOINT_VERSION, "mode": "involutive", "size": 3, "task": [0, 0],
+    }
+    if fault == "no classes":
+        return header
+    if fault == "not an object":
+        return [header]
+    if fault == "bad hex":
+        return {**header, "classes": ["zz"]}
+    if fault == "short blob":
+        return {**header, "classes": ["00"]}
+    if fault == "wrong size":
+        blob = run(2, "involutive").canonicals[0]
+    elif fault == "not canonical":
+        sol = solutions.solution_from_canonical(run(3, "involutive").canonicals[-1])
+        blob = max(
+            bytes(chain.from_iterable(r.sigma + r.tau))
+            for r in (solutions.relabel(sol, g) for g in all_perms(3))
+        )
+    else:  # a valid canonical class, but not involutive
+        full = run(3, "all")
+        blob = next(b for b, s in zip(full.canonicals, full.classes) if not s.involutive)
+    return {**header, "classes": [blob.hex()]}
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["no classes", "not an object", "bad hex", "short blob", "wrong size",
+     "not canonical", "not involutive"],
+)
+def test_damaged_checkpoint_is_rejected(tmp_path, fault):
+    run(3, "involutive", checkpoint_dir=tmp_path)
+    path = enumeration._checkpoint_path(tmp_path, "involutive", 3, (0, 0))
+    path.write_text(json.dumps(_damaged_checkpoint(fault)))
     with pytest.raises(CheckpointMismatchError):
         run(3, "involutive", checkpoint_dir=tmp_path)
 
