@@ -16,7 +16,7 @@ from itertools import permutations
 
 from . import groups, solutions
 from .groups import FiniteGroup
-from .perms import Perm, lex_min_relabeling, tables_from_bytes
+from .perms import Perm, lex_min_relabeling, table_isomorphisms, tables_from_bytes
 from .solutions import Solution
 
 
@@ -89,7 +89,7 @@ def diagnose_brace(add, mul) -> BraceDiagnostic | None:
         return BraceDiagnostic("additive-group", f"(A,+) is not a group: {reason}")
     reason = groups.table_diagnostic(mul)
     if reason is not None:
-        if _has_other_identity(mul):
+        if groups.table_identity(mul) not in (None, 0):
             return BraceDiagnostic(
                 "identity-mismatch",
                 "the multiplicative identity differs from the additive identity 0",
@@ -111,17 +111,6 @@ def diagnose_brace(add, mul) -> BraceDiagnostic | None:
                         (a, b, c),
                     )
     return None
-
-
-def _has_other_identity(table) -> bool:
-    n = len(table)
-    for e in range(1, n):
-        try:
-            if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-                return True
-        except (TypeError, IndexError):
-            return False
-    return False
 
 
 def verify_brace(add, mul) -> SkewBrace:
@@ -502,59 +491,16 @@ def brace_from_canonical(blob: bytes) -> SkewBrace:
 
 
 def find_brace_isomorphism(A: SkewBrace, B: SkewBrace) -> Perm | None:
-    """A bijection respecting both operations, or None.  Fixes 0, prunes by
-    element orders in both groups, and propagates images of sums/products."""
-    n = A.size
-    if B.size != n:
-        return None
-    GA_add, GB_add = additive_group(A), additive_group(B)
-    GA_mul, GB_mul = multiplicative_group(A), multiplicative_group(B)
-    inv_a = [
-        (GA_add.element_order(x), GA_mul.element_order(x)) for x in range(n)
-    ]
-    inv_b = [
-        (GB_add.element_order(x), GB_mul.element_order(x)) for x in range(n)
-    ]
-    if sorted(inv_a) != sorted(inv_b):
-        return None
+    """The lexicographically first bijection respecting both operations, or
+    None.  Images are pruned by the additive and multiplicative element
+    orders, so 0 maps to 0."""
 
-    f = [-1] * n
-    f[0] = 0
-    used = [False] * n
-    used[0] = True
+    def keys(C: SkewBrace) -> list[tuple[int, int]]:
+        return list(zip(groups.element_orders(additive_group(C)),
+                        groups.element_orders(multiplicative_group(C))))
 
-    def consistent() -> bool:
-        for x in range(n):
-            if f[x] == -1:
-                continue
-            for y in range(n):
-                if f[y] == -1:
-                    continue
-                for fam_a, fam_b in ((A.add, B.add), (A.mul, B.mul)):
-                    z = fam_a[x][y]
-                    if f[z] != -1 and f[z] != fam_b[f[x]][f[y]]:
-                        return False
-        return True
-
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
-        if f[x] != -1:
-            return extend(x + 1)
-        for img in range(n):
-            if used[img] or inv_b[img] != inv_a[x]:
-                continue
-            f[x] = img
-            used[img] = True
-            if consistent() and extend(x + 1):
-                return True
-            f[x] = -1
-            used[img] = False
-        return False
-
-    if extend(1):
-        return tuple(f)
-    return None
+    found = table_isomorphisms((A.add, A.mul), (B.add, B.mul), keys(A), keys(B))
+    return next(found, None)
 
 
 @dataclass(frozen=True)

@@ -474,14 +474,14 @@ def _search_all(n: int, prefix, deadline: _Deadline) -> set[bytes]:
 # Task orchestration
 
 
-def _run_subtree(args) -> tuple[tuple[int, ...], list[bytes]]:
+def _run_subtree(args) -> list[bytes]:
     n, mode, prefix, deadline_at = args
     deadline = _Deadline(deadline_at)
     if mode == "involutive":
         found = _search_involutive(n, prefix, deadline)
     else:
         found = _search_all(n, prefix, deadline)
-    return prefix, sorted(found)
+    return sorted(found)
 
 
 def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, bool]:
@@ -502,7 +502,7 @@ def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, 
         try:
             if deadline_at is not None and time.monotonic() > deadline_at:
                 raise TimeBudgetExceeded
-            classes = _run_subtree(args[i])[1]
+            classes = _run_subtree(args[i])
         except TimeBudgetExceeded:
             _drop_queued(next_index, len(args))
             return finished, True
@@ -692,7 +692,7 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
 # Skew brace enumeration
 
 
-def enumerate_braces(n: int, cap: int = 8) -> list[SkewBrace]:
+def enumerate_braces(n: int) -> list[SkewBrace]:
     """One representative per isomorphism class of skew braces of size n.
 
     For each additive group G (up to isomorphism), searches the maps
@@ -702,8 +702,8 @@ def enumerate_braces(n: int, cap: int = 8) -> list[SkewBrace]:
     """
     if n < 1:
         raise ValueError("size must be at least 1")
-    if n > cap:
-        raise EnumerationCapError(f"size {n} exceeds the brace cap {cap}")
+    if n > 8:  # groups_of_order is tabulated up to 8
+        raise EnumerationCapError(f"size {n} exceeds the brace cap 8")
     canon: set[bytes] = set()
     for G in groups.groups_of_order(n):
         for brace in _braces_on_group(G):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .braces import FiniteRing, SkewBrace, verify_brace, verify_ring
+from .groups import table_identity
 from .perms import relabel_table
 from .solutions import Solution, verify
 
@@ -126,8 +127,8 @@ def _parse_block(lines: list[str]):
         return verify(size, table("sigma"), table("tau"))
     if kind == "brace":
         add, mul = table("add"), table("mul")
-        shared = _shared_identity(add, mul)
-        if shared is not None and shared != 0:
+        shared = table_identity(add)
+        if shared not in (None, 0) and shared == table_identity(mul):
             # swap labels 0 and the shared identity
             swap = list(range(size))
             swap[0], swap[shared] = shared, 0
@@ -151,22 +152,6 @@ def _parse_block(lines: list[str]):
             raise ParseError("stream header is missing a valid count") from exc
         return StreamHeader(size=size, mode=mode, count=count, meta=extra)
     raise ParseError(f"unknown record kind {kind!r}")
-
-
-def _shared_identity(add, mul) -> int | None:
-    """The element acting as a two-sided identity in both tables, if any."""
-    n = len(add)
-    for e in range(n):
-        try:
-            if all(
-                add[e][a] == a and add[a][e] == a
-                and mul[e][a] == a and mul[a][e] == a
-                for a in range(n)
-            ):
-                return e
-        except (IndexError, TypeError):
-            return None
-    return None
 
 
 def parse_text(text: str):

@@ -12,7 +12,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .perms import Perm, compose, identity as identity_perm, invert
+from .perms import (
+    Perm,
+    compose,
+    identity as identity_perm,
+    invert,
+    table_isomorphisms,
+)
 
 MAX_GENERATED_ORDER = 100_000
 
@@ -53,6 +59,21 @@ def table_diagnostic(table) -> str | None:
             for c in range(n):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return f"not associative at ({a},{b},{c})"
+    return None
+
+
+def table_identity(table) -> int | None:
+    """The two-sided identity of a square table, or None.
+
+    A table has at most one, so two calls tell whether two tables share it.
+    """
+    n = len(table)
+    for e in range(n):
+        try:
+            if all(table[e][a] == a and table[a][e] == a for a in range(n)):
+                return e
+        except (IndexError, TypeError):
+            return None
     return None
 
 
@@ -414,48 +435,7 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
 
 
 def automorphisms(G: FiniteGroup) -> list[Perm]:
-    """All automorphisms of G, by search over identity-fixing bijections."""
-    n = G.order
+    """All automorphisms of G in lexicographic order; element orders prune
+    the images, and fix 0, the only element of order 1."""
     orders = element_orders(G)
-    result: list[Perm] = []
-    f = [-1] * n
-    f[0] = 0
-    used = [False] * n
-    used[0] = True
-
-    def consistent(a: int) -> bool:
-        for b in range(n):
-            if f[b] == -1:
-                continue
-            c = G.table[a][b]
-            if f[c] != -1 and f[c] != G.table[f[a]][f[b]]:
-                return False
-            c = G.table[b][a]
-            if f[c] != -1 and f[c] != G.table[f[b]][f[a]]:
-                return False
-        return True
-
-    def extend(a: int) -> None:
-        if a == n:
-            result.append(tuple(f))
-            return
-        for img in range(n):
-            if used[img] or orders[img] != orders[a]:
-                continue
-            f[a] = img
-            used[img] = True
-            if consistent(a):
-                extend(a + 1)
-            f[a] = -1
-            used[img] = False
-
-    extend(1)
-    return [
-        phi
-        for phi in result
-        if all(
-            phi[G.table[a][b]] == G.table[phi[a]][phi[b]]
-            for a in range(n)
-            for b in range(n)
-        )
-    ]
+    return list(table_isomorphisms((G.table,), (G.table,), orders, orders))

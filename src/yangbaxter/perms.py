@@ -2,13 +2,15 @@
 
 Solutions (sigma, tau) and braces (add, mul) are both pairs of n x n tables
 on the points, classified up to relabelling; the table helpers at the end
-relabel such tables, serialize them canonically and decode them again.
+relabel such tables, search the isomorphisms between them, serialize them
+canonically and decode them again.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 
 Perm = tuple[int, ...]
 Table = tuple[tuple[int, ...], ...]
@@ -121,13 +123,66 @@ def all_perms(n: int) -> list[Perm]:
 
 
 # ---------------------------------------------------------------------------
-# Square tables on the points: relabelling and canonical serialization
+# Square tables on the points: relabelling, isomorphisms and canonical
+# serialization
 
 
 def relabel_table(table, f: Perm) -> Table:
     """Transport a table along f: entry (f[i], f[j]) becomes f[table[i][j]]."""
     finv = invert(f)
     return tuple(tuple(f[table[i][j]] for j in finv) for i in finv)
+
+
+def table_isomorphisms(src, dst, src_keys, dst_keys) -> Iterator[Perm]:
+    """Every bijection f with f[a[x][y]] = b[f[x]][f[y]] for each pair of
+    tables (a, b) in zip(src, dst), in lexicographic order.
+
+    Point x may map only to a point y with src_keys[x] == dst_keys[y].
+    Points are assigned in order, and each new one is checked against the
+    points already assigned.  A pair whose product gets its image later is
+    never checked on the way, so a complete map is checked whole.
+    """
+    n = len(src_keys)
+    if sorted(src_keys) != sorted(dst_keys):
+        return
+    pairs = list(zip(src, dst))
+    f = [-1] * n
+    used = [False] * n
+
+    def consistent(x: int) -> bool:
+        fx = f[x]
+        for y in range(x + 1):
+            fy = f[y]
+            for a, b in pairs:
+                z = f[a[x][y]]
+                if z >= 0 and z != b[fx][fy]:
+                    return False
+                z = f[a[y][x]]
+                if z >= 0 and z != b[fy][fx]:
+                    return False
+        return True
+
+    def extend(x: int) -> Iterator[Perm]:
+        if x == n:
+            if all(
+                f[a[u][v]] == b[f[u]][f[v]]
+                for a, b in pairs
+                for u in range(n)
+                for v in range(n)
+            ):
+                yield tuple(f)
+            return
+        for img in range(n):
+            if used[img] or dst_keys[img] != src_keys[x]:
+                continue
+            f[x] = img
+            used[img] = True
+            if consistent(x):
+                yield from extend(x + 1)
+            f[x] = -1
+            used[img] = False
+
+    yield from extend(0)
 
 
 def lex_min_relabeling(tables, relabelings) -> tuple[bytes, list[Perm]]:

@@ -30,6 +30,7 @@ from .perms import (
     is_perm,
     lex_min_relabeling,
     relabel_table,
+    table_isomorphisms,
     tables_from_bytes,
 )
 
@@ -329,61 +330,18 @@ def relabel(s: Solution, f: Perm) -> Solution:
     return Solution(s.size, relabel_table(s.sigma, f), relabel_table(s.tau, f))
 
 
-def _point_invariant(s: Solution, x: int) -> tuple:
-    return cycle_type(s.sigma[x]), cycle_type(s.tau[x])
-
-
 def find_isomorphism(s: Solution, t: Solution) -> Perm | None:
-    """A bijection f with (f x f) r_s = r_t (f x f), or None.
+    """The lexicographically first bijection f with (f x f) r_s = r_t (f x f),
+    that is relabel(s, f) == t, or None.
 
-    Backtracking over point images; candidates are pruned by the pair of
-    cycle types of their sigma and tau rows, and partially assigned maps are
-    checked on every resolved pair.
+    Images are pruned by the cycle types of a point's sigma and tau rows.
     """
-    n = s.size
-    if t.size != n:
-        return None
-    inv_s = [_point_invariant(s, x) for x in range(n)]
-    inv_t = [_point_invariant(t, x) for x in range(n)]
-    if sorted(inv_s) != sorted(inv_t):
-        return None
 
-    f = [-1] * n
-    used = [False] * n
+    def keys(u: Solution) -> list[tuple]:
+        return [(cycle_type(u.sigma[x]), cycle_type(u.tau[x])) for x in range(u.size)]
 
-    def ok(x: int) -> bool:
-        for a in range(n):
-            if f[a] == -1:
-                continue
-            for b in range(n):
-                if f[b] == -1:
-                    continue
-                u, v = s.r(a, b)
-                fu, fv = f[u], f[v]
-                tu, tv = t.r(f[a], f[b])
-                if fu != -1 and fu != tu:
-                    return False
-                if fv != -1 and fv != tv:
-                    return False
-        return True
-
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
-        for img in range(n):
-            if used[img] or inv_t[img] != inv_s[x]:
-                continue
-            f[x] = img
-            used[img] = True
-            if ok(x) and extend(x + 1):
-                return True
-            f[x] = -1
-            used[img] = False
-        return False
-
-    if extend(0):
-        return tuple(f)
-    return None
+    found = table_isomorphisms((s.sigma, s.tau), (t.sigma, t.tau), keys(s), keys(t))
+    return next(found, None)
 
 
 def is_isomorphic(s: Solution, t: Solution) -> bool:

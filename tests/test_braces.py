@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangbaxter import braces, groups
 from yangbaxter.braces import (
@@ -20,6 +21,7 @@ from yangbaxter.braces import (
     strictly_upper_triangular_ring,
     verify_brace,
 )
+from yangbaxter.perms import relabel_table
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +377,17 @@ def test_brace_isomorphism_found_for_relabeled_corpus_members(brace_corpus):
         other = verify_brace(add, mul)
         assert find_brace_isomorphism(A, other) is not None
         assert brace_canonical_form(other) == brace_canonical_form(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_brace_isomorphism_witness_is_valid(data, brace_corpus):
+    A = data.draw(st.sampled_from([A for n in range(1, 9) for A in brace_corpus[n]]))
+    f = (0, *data.draw(st.permutations(range(1, A.size))))
+    B = verify_brace(relabel_table(A.add, f), relabel_table(A.mul, f))
+    g = find_brace_isomorphism(A, B)
+    assert g is not None
+    assert (relabel_table(A.add, g), relabel_table(A.mul, g)) == (B.add, B.mul)
 
 
 def test_multiplicative_groups_of_abelian_type_corpus_are_solvable(brace_corpus):

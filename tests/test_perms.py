@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import smaller_relabeling_brute
@@ -94,6 +96,59 @@ def test_lex_min_relabeling_matches_unpruned_minimum(tables):
     assert perms.tables_from_bytes(best, 2) in {
         tuple(perms.relabel_table(t, f) for t in tables) for f in perms.all_perms(n)
     }
+
+
+@st.composite
+def isomorphism_cases(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+    square = st.lists(row, min_size=n, max_size=n).map(tuple)
+    src = tuple(draw(square) for _ in range(draw(st.integers(1, 2))))
+    if draw(st.booleans()):
+        # a relabelled copy, so that some isomorphism exists
+        f = draw(st.permutations(range(n)))
+        return src, tuple(perms.relabel_table(t, f) for t in src)
+    return src, tuple(draw(square) for _ in src)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=isomorphism_cases())
+def test_table_isomorphisms_match_brute_force(case):
+    src, dst = case
+    n = len(src[0])
+    want = [
+        f
+        for f in itertools.permutations(range(n))
+        if all(
+            f[a[x][y]] == b[f[x]][f[y]]
+            for a, b in zip(src, dst)
+            for x in range(n)
+            for y in range(n)
+        )
+    ]
+    keys = [0] * n
+    assert list(perms.table_isomorphisms(src, dst, keys, keys)) == want
+
+    # idempotents map to idempotents, so keying on them loses nothing
+    def idempotents(tables):
+        return [tuple(t[x][x] == x for t in tables) for x in range(n)]
+
+    found = perms.table_isomorphisms(src, dst, idempotents(src), idempotents(dst))
+    assert list(found) == want
+
+
+def test_table_isomorphisms_check_the_complete_map():
+    # f = (1, 0) passes every check made on the way: the pair (0, 0) has
+    # product 1, which has no image yet when 0 is placed, and is not checked
+    # again when 1 is; yet f[a[0][0]] = 0 != b[1][1] = 1
+    a, b = ((1, 1), (1, 1)), ((0, 0), (0, 1))
+    assert list(perms.table_isomorphisms((a,), (b,), [0, 0], [0, 0])) == []
+
+
+def test_table_isomorphisms_map_points_only_to_equal_keys():
+    table = ((0, 0), (1, 1))  # x * y = x: every bijection respects it
+    assert list(perms.table_isomorphisms((table,), (table,), [0, 1], [1, 0])) == [(1, 0)]
+    assert list(perms.table_isomorphisms((table,), (table,), [0, 1], [1, 1])) == []
 
 
 @st.composite

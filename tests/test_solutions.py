@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangbaxter import groups, perms, solutions
+from yangbaxter.enumeration import EnumerationTask, enumerate_solutions
 from yangbaxter.solutions import InvalidSolutionError
 
 GOLDEN_SIZE4_CANONICAL = bytes.fromhex(
@@ -300,6 +302,26 @@ def test_isomorphism_respects_relabeling(sol5_mp):
     g = solutions.find_isomorphism(sol5_mp, relabeled)
     assert g is not None
     assert solutions.relabel(sol5_mp, g) == relabeled
+
+
+@pytest.fixture(scope="module")
+def all_mode_up_to_3():
+    return [
+        s
+        for n in range(1, 4)
+        for s in enumerate_solutions(EnumerationTask(size=n, mode="all")).classes
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_isomorphism_witness_is_valid(data, involutive_corpus, all_mode_up_to_3):
+    corpus = [*all_mode_up_to_3, *(s for n in range(1, 6) for s in involutive_corpus[n])]
+    s = data.draw(st.sampled_from(corpus))
+    t = solutions.relabel(s, data.draw(st.permutations(range(s.size))))
+    g = solutions.find_isomorphism(s, t)
+    assert g is not None
+    assert solutions.relabel(s, g) == t
 
 
 def test_canonical_golden_size4(sol4_irr):

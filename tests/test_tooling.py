@@ -1,10 +1,13 @@
-"""What the benchmark and the demos rely on from the library."""
+"""What the benchmark, the demos and the README rely on from the library."""
 
+import ast
 import importlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,27 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_readme_quick_start_values():
+    # every expression that ends in "# value" must have that repr; text
+    # after a colon in the comment explains the value
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(code).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(code).body:
+        if isinstance(stmt, ast.Expr) and stmt.end_lineno in comments:
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            shown, want = repr(value), comments[stmt.end_lineno]
+            assert want == shown or want.startswith(shown + ":"), ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked == 9
