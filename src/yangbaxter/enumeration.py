@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -44,7 +43,8 @@ from pathlib import Path
 from . import braces as braces_mod
 from . import groups, solutions
 from .braces import SkewBrace
-from .perms import all_perms, compose, has_smaller_relabeling, invert, tables_from_bytes
+from .perms import all_perms, compose, has_smaller_relabeling, invert
+from .perms import relabel_table, tables_from_bytes
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
@@ -639,6 +639,10 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
         if workers <= 1:
             runs = [_run_subtrees(args, ckpt_dir, next_index)]
         else:
+            # imported here, by the one run that starts a pool: the module
+            # costs every other process about 1.5 MB of RSS
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_share_next_index,
@@ -695,24 +699,39 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
 def enumerate_braces(n: int) -> list[SkewBrace]:
     """One representative per isomorphism class of skew braces of size n.
 
-    For each additive group G (up to isomorphism), searches the maps
-    a -> lambda_a into Aut(G) satisfying lambda_a lambda_b = lambda_{a o b}
-    with a o b = a + lambda_a(b); these are exactly the braces with additive
-    group G.  Forced values propagate, so the branching stays tiny.
+    For each additive group G (up to isomorphism), `_braces_on_group` finds
+    one brace per Aut(G)-orbit of the braces on G's table.  A brace
+    isomorphism between two braces on one additive table is an automorphism
+    of G that carries one `mul` to the other, so these orbits are exactly
+    the classes with additive group G (Guarnieri-Vendramin, Math. Comp. 86
+    (2017)), and each class is canonicalized once.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
     if n > 8:  # groups_of_order is tabulated up to 8
         raise EnumerationCapError(f"size {n} exceeds the brace cap 8")
-    canon: set[bytes] = set()
-    for G in groups.groups_of_order(n):
-        for brace in _braces_on_group(G):
-            canon.add(braces_mod.brace_canonical_form(brace))
+    canon = [
+        braces_mod.brace_canonical_form(brace)
+        for G in groups.groups_of_order(n)
+        for brace in _braces_on_group(G)
+    ]
     return [braces_mod.brace_from_canonical(b) for b in sorted(canon)]
 
 
-def _braces_on_group(G: groups.FiniteGroup):
+def _braces_on_group(G: groups.FiniteGroup) -> list[SkewBrace]:
+    """One verified brace per Aut(G)-orbit of the braces whose additive table
+    is G.table.
+
+    Searches the maps a -> lambda_a into Aut(G) with lambda_0 = id and
+    lambda_a lambda_b = lambda_{a o b}, where a o b = a + lambda_a(b); these
+    are exactly the braces on G.  Each assignment forces lambda_{a o b} for
+    the pairs it completes, and the forced values are followed in turn.  A
+    completed map whose `mul` lies in the orbit of a brace already found is
+    skipped: it is that brace relabelled by an automorphism of G, so it is a
+    brace too, and the search stays complete, so every orbit is reached.
+    """
     n = G.order
+    table = G.table
     auts = groups.automorphisms(G)
     aut_index = {p: i for i, p in enumerate(auts)}
     amul = [
@@ -721,38 +740,41 @@ def _braces_on_group(G: groups.FiniteGroup):
     ident_idx = aut_index[tuple(range(n))]
     assign: list[int | None] = [None] * n
     assign[0] = ident_idx
+    seen: set[tuple] = set()
     out: list[SkewBrace] = []
 
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for a in range(n):
-                fa = assign[a]
-                if fa is None:
+    def propagate(a: int, trail: list[int]) -> bool:
+        """Check the pairs (a, b) and (b, a) of every newly assigned a against
+        the assigned b, assigning and queueing each lambda they force."""
+        queue = [a]
+        while queue:
+            a = queue.pop()
+            fa = assign[a]
+            for b in range(n):
+                fb = assign[b]
+                if fb is None:
                     continue
-                pa = auts[fa]
-                for b in range(n):
-                    fb = assign[b]
-                    if fb is None:
-                        continue
-                    c = G.table[a][pa[b]]
-                    req = amul[fa][fb]
+                for x, fx, y, fy in ((a, fa, b, fb), (b, fb, a, fa)):
+                    c = table[x][auts[fx][y]]
+                    req = amul[fx][fy]
                     fc = assign[c]
                     if fc is None:
                         assign[c] = req
                         trail.append(c)
-                        changed = True
+                        queue.append(c)
                     elif fc != req:
                         return False
         return True
 
     def emit() -> None:
         mul = tuple(
-            tuple(G.table[a][auts[assign[a]][b]] for b in range(n))
+            tuple(table[a][auts[assign[a]][b]] for b in range(n))
             for a in range(n)
         )
-        out.append(braces_mod.verify_brace(G.table, mul))
+        if mul in seen:
+            return
+        out.append(braces_mod.verify_brace(table, mul))
+        seen.update(relabel_table(mul, phi) for phi in auts)
 
     def dfs() -> None:
         try:
@@ -762,16 +784,13 @@ def _braces_on_group(G: groups.FiniteGroup):
             return
         for choice in range(len(auts)):
             assign[a] = choice
-            trail: list[int] = []
-            if propagate(trail):
+            trail = [a]
+            if propagate(a, trail):
                 dfs()
             for c in trail:
                 assign[c] = None
-            assign[a] = None
 
-    trail0: list[int] = []
-    if propagate(trail0):
-        dfs()
+    dfs()
     return out
 
 

@@ -1,14 +1,16 @@
 """Reference implementations the tests compare the library against.
 
 The brute-force class sets prune nothing beyond validity, so they are slow
-and kept to small sizes.  `involutive_row_ok` is the row filter the
-involutive search used before it built rows cell by cell, on the index
-tables of Sym(n) from `sym_tables`.  `unpruned_involutive_search` and
+and kept to small sizes.  `labeled_braces_on_group` is the brace search
+before it kept one brace per Aut(G)-orbit.  `involutive_row_ok` is the row
+filter the involutive search used before it built rows cell by cell, on the
+index tables of Sym(n) from `sym_tables`.  `unpruned_involutive_search` and
 `unpruned_all_search` are the two searches without the lex-leader prune,
 the second on those index tables: they canonicalize every leaf.
 `smaller_relabeling_brute` tries every relabeling the prune may use.  The
-last two helpers give the two sides of the orbit-counting identity: the
-number of labeled solutions equals the sum of n!/|Aut(s)| over the classes s.
+counting helpers and `orbit_sum` give the two sides of the orbit-counting
+identity: the number of labeled solutions equals the sum of n!/|Aut(s)| over
+the classes s.
 """
 
 from __future__ import annotations
@@ -22,20 +24,21 @@ from yangbaxter.braces import SkewBrace
 from yangbaxter.perms import all_perms, compose, invert
 
 
-def brute_force_solutions(n: int) -> list[bytes]:
-    """Canonical class set by scanning every (sigma, tau) family outright.
-
-    (n!)^(2n) candidates; keep n <= 3.
-    """
+def labeled_solutions(n: int):
+    """Every (sigma, tau) family that `solutions.diagnose` accepts, found by
+    scanning all (n!)^(2n) candidates; keep n <= 3."""
     if n > 3:
         raise ValueError("the brute-force oracle is meant for n <= 3")
     perms = all_perms(n)
-    found: set[bytes] = set()
     for sigma in product(perms, repeat=n):
         for tau in product(perms, repeat=n):
             if solutions.diagnose(n, sigma, tau) is None:
-                found.add(solutions.canonical_form(solutions.Solution(n, sigma, tau)))
-    return sorted(found)
+                yield solutions.Solution(n, sigma, tau)
+
+
+def brute_force_solutions(n: int) -> list[bytes]:
+    """Canonical class set of every labeled solution."""
+    return sorted({solutions.canonical_form(s) for s in labeled_solutions(n)})
 
 
 def brute_force_braces(n: int) -> list[SkewBrace]:
@@ -80,6 +83,77 @@ def _all_group_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
             table.pop()
 
     dfs(1)
+    return out
+
+
+def labeled_braces_on_group(G: groups.FiniteGroup) -> list[SkewBrace]:
+    """Every brace whose additive table is G.table, one per map a -> lambda_a.
+
+    The maps into Aut(G) with lambda_a lambda_b = lambda_{a o b}, where
+    a o b = a + lambda_a(b), are searched with forced values propagated by
+    rescanning all pairs; each completed map is verified and kept, with no
+    symmetry cut.
+    """
+    n = G.order
+    auts = groups.automorphisms(G)
+    aut_index = {p: i for i, p in enumerate(auts)}
+    amul = [
+        [aut_index[compose(p, q)] for q in auts] for p in auts
+    ]
+    ident_idx = aut_index[tuple(range(n))]
+    assign: list[int | None] = [None] * n
+    assign[0] = ident_idx
+    out: list[SkewBrace] = []
+
+    def propagate(trail: list[int]) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for a in range(n):
+                fa = assign[a]
+                if fa is None:
+                    continue
+                pa = auts[fa]
+                for b in range(n):
+                    fb = assign[b]
+                    if fb is None:
+                        continue
+                    c = G.table[a][pa[b]]
+                    req = amul[fa][fb]
+                    fc = assign[c]
+                    if fc is None:
+                        assign[c] = req
+                        trail.append(c)
+                        changed = True
+                    elif fc != req:
+                        return False
+        return True
+
+    def emit() -> None:
+        mul = tuple(
+            tuple(G.table[a][auts[assign[a]][b]] for b in range(n))
+            for a in range(n)
+        )
+        out.append(braces.verify_brace(G.table, mul))
+
+    def dfs() -> None:
+        try:
+            a = assign.index(None)
+        except ValueError:
+            emit()
+            return
+        for choice in range(len(auts)):
+            assign[a] = choice
+            trail: list[int] = []
+            if propagate(trail):
+                dfs()
+            for c in trail:
+                assign[c] = None
+            assign[a] = None
+
+    trail0: list[int] = []
+    if propagate(trail0):
+        dfs()
     return out
 
 

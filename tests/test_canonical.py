@@ -13,9 +13,10 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import labeled_braces_on_group
 
 from yangbaxter import braces, groups, solutions
-from yangbaxter.enumeration import EnumerationTask, _braces_on_group, enumerate_solutions
+from yangbaxter.enumeration import EnumerationTask, enumerate_solutions
 from yangbaxter.perms import relabel_table, tables_from_bytes
 
 ALL_4_DIGEST = "bbc7439fbb90aa6835267a7850384834199d237808ab5ffc02108870c114e04d"
@@ -99,7 +100,7 @@ def test_brace_form_matches_the_full_search_on_labelled_braces():
     checked = 0
     for n in range(1, 8):
         for G in groups.groups_of_order(n):
-            for A in _braces_on_group(G):
+            for A in labeled_braces_on_group(G):
                 assert braces.brace_canonical_form(A) == full_brace_form(A)
                 checked += 1
     assert checked == 21

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import time
@@ -9,7 +10,9 @@ from oracles import (
     brute_force_braces,
     brute_force_solutions,
     involutive_row_ok,
+    labeled_braces_on_group,
     labeled_involutive_count,
+    labeled_solutions,
     orbit_sum,
     row_generator_nodes,
     smaller_relabeling_brute,
@@ -18,7 +21,7 @@ from oracles import (
     unpruned_involutive_search,
 )
 
-from yangbaxter import braces, enumeration, solutions
+from yangbaxter import braces, enumeration, groups, solutions
 from yangbaxter.enumeration import (
     CheckpointMismatchError,
     EnumerationCapError,
@@ -28,7 +31,12 @@ from yangbaxter.enumeration import (
     enumerate_braces,
     enumerate_solutions,
 )
-from yangbaxter.perms import all_perms, has_smaller_relabeling
+from yangbaxter.perms import (
+    all_perms,
+    has_smaller_relabeling,
+    relabel_table,
+    table_isomorphisms,
+)
 
 
 def run(n, mode, **kw):
@@ -141,6 +149,12 @@ def test_row_generator_matches_row_filter_below_size5_subtrees():
 def test_labeled_count_is_the_orbit_sum(n, labeled, involutive_corpus):
     assert labeled_involutive_count(n) == labeled
     assert orbit_sum(involutive_corpus[n]) == labeled
+
+
+@pytest.mark.parametrize("n, labeled", [(1, 1), (2, 4), (3, 66)])
+def test_all_mode_labeled_count_is_the_orbit_sum(n, labeled):
+    assert sum(1 for _ in labeled_solutions(n)) == labeled
+    assert orbit_sum(run(n, "all").classes) == labeled
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +366,7 @@ def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
         returned.append(prefix)
         return result
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
     with pytest.raises(PartialResultError) as exc:
         run(4, "involutive", jobs=2, checkpoint_dir=tmp_path)
@@ -417,7 +431,7 @@ def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatc
         returned.append(args[2])
         return result
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
     with pytest.raises(KeyboardInterrupt):
         run(4, "involutive", jobs=2, checkpoint_dir=tmp_path)
@@ -428,12 +442,12 @@ def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatc
 def test_parallel_run_submits_one_future_per_worker(monkeypatch):
     submitted = []
 
-    class CountingPool(enumeration.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, *args, **kwargs):
             submitted.append(args)
             return super().submit(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     assert run(5, "involutive", jobs=2).total == 88
     # not one future per subtree (834 at n = 5)
     assert len(submitted) == 2
@@ -468,6 +482,60 @@ def test_emitted_braces_verify_and_are_distinct(brace_corpus):
             assert braces.diagnose_brace(A.add, A.mul) is None
             forms.add(braces.brace_canonical_form(A))
         assert len(forms) == len(classes)
+
+
+def brace_automorphism_count(A) -> int:
+    keys = list(zip(groups.element_orders(braces.additive_group(A)),
+                    groups.element_orders(braces.multiplicative_group(A))))
+    return sum(1 for _ in table_isomorphisms((A.add, A.mul), (A.add, A.mul), keys, keys))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_brace_orbit_identity(n):
+    """Labeled braces on G = sum of |Aut(G)| / |Aut(A)| over the classes A
+    found on G; the representatives' Aut(G)-orbits are the labeled set, and
+    no two representatives are isomorphic."""
+    labeled_counts, class_counts = [], []
+    for G in groups.groups_of_order(n):
+        auts = groups.automorphisms(G)
+        labeled = [A.mul for A in labeled_braces_on_group(G)]
+        reps = enumeration._braces_on_group(G)
+        assert all(A.add == G.table for A in reps)
+        assert sum(len(auts) // brace_automorphism_count(A) for A in reps) == len(labeled)
+        assert {relabel_table(A.mul, phi) for A in reps for phi in auts} == set(labeled)
+        for i, A in enumerate(reps):
+            for B in reps[i + 1:]:
+                assert braces.find_brace_isomorphism(A, B) is None
+        labeled_counts.append(len(labeled))
+        class_counts.append(len(reps))
+    if n == 8:
+        assert labeled_counts == [6, 28, 232, 20, 28]
+        assert class_counts == [5, 14, 8, 12, 8]
+
+
+@pytest.fixture()
+def brace_calls(monkeypatch):
+    """How often brace_canonical_form and verify_brace run during the test."""
+    calls = {"canonical": 0, "verify": 0}
+    canonical, verify = braces.brace_canonical_form, braces.verify_brace
+
+    def counting_canonical(A):
+        calls["canonical"] += 1
+        return canonical(A)
+
+    def counting_verify(add, mul):
+        calls["verify"] += 1
+        return verify(add, mul)
+
+    monkeypatch.setattr(braces, "brace_canonical_form", counting_canonical)
+    monkeypatch.setattr(braces, "verify_brace", counting_verify)
+    return calls
+
+
+def test_enumerate_braces_canonicalizes_each_class_once(brace_calls):
+    assert len(enumerate_braces(8)) == 47
+    # one verify per representative, one per rebuild from its canonical bytes
+    assert brace_calls == {"canonical": 47, "verify": 47 + 47}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangbaxter import braces, fileio, solutions
 from yangbaxter.fileio import ParseError, StreamHeader
+from yangbaxter.perms import relabel_table
 
 
 def test_solution_round_trip(sol4_irr):
@@ -141,3 +143,36 @@ def test_involutive_stream_rejects_a_non_involutive_record(sol_3_noninvolutive):
         fileio.parse_text(_stream(header.format("involutive"), sol_3_noninvolutive))
     stream = fileio.parse_text(_stream(header.format("all"), sol_3_noninvolutive))
     assert stream.solutions == [sol_3_noninvolutive]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_records_round_trip_exactly(data, involutive_corpus, brace_corpus):
+    """A relabelled corpus solution or brace (braces by maps fixing 0) is
+    written and parsed back to the same tables."""
+    if data.draw(st.booleans(), label="brace"):
+        A = data.draw(st.sampled_from([A for n in range(1, 9) for A in brace_corpus[n]]))
+        f = (0, *data.draw(st.permutations(range(1, A.size))))
+        add, mul = relabel_table(A.add, f), relabel_table(A.mul, f)
+        parsed = fileio.parse_text(fileio.brace_to_text(braces.SkewBrace(A.size, add, mul)))
+        assert (parsed.add, parsed.mul) == (add, mul)
+    else:
+        s = data.draw(st.sampled_from([s for n in range(1, 6) for s in involutive_corpus[n]]))
+        s = solutions.relabel(s, data.draw(st.permutations(range(s.size))))
+        assert fileio.parse_text(fileio.solution_to_text(s)) == s
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_streams_round_trip_exactly(data, involutive_corpus):
+    n = data.draw(st.integers(1, 5), label="size")
+    sols = data.draw(st.lists(st.sampled_from(involutive_corpus[n]), max_size=6))
+    sols = [solutions.relabel(s, data.draw(st.permutations(range(n)))) for s in sols]
+    meta = data.draw(st.dictionaries(
+        st.sampled_from(["seed", "jobs", "engine"]), st.integers(0, 10**6).map(str)
+    ))
+    header = StreamHeader(size=n, mode=data.draw(st.sampled_from(["involutive", "all"])),
+                          count=len(sols), meta=meta)
+    stream = fileio.parse_text(fileio.stream_to_text(header, sols))
+    assert stream.header == header
+    assert stream.solutions == sols

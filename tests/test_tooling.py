@@ -34,15 +34,24 @@ def _src_env() -> dict:
     return env
 
 
-def test_import_leaves_numpy_unloaded():
+def _loaded_by_import(module: str) -> bool:
     # a fresh interpreter, so no other test's imports are counted
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, yangbaxter; print('numpy' in sys.modules)"],
+         f"import sys, yangbaxter; print({module!r} in sys.modules)"],
         env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_leaves_numpy_unloaded():
+    assert not _loaded_by_import("numpy")
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a run with jobs > 1 needs it, and it costs about 1.5 MB of RSS
+    assert not _loaded_by_import("concurrent.futures.process")
 
 
 @pytest.mark.parametrize(
