@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -118,14 +117,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    checkpoint = args.checkpoint or os.environ.get("YBX_CHECKPOINT_DIR")
     task = enumeration.EnumerationTask(
         size=args.size,
         mode="involutive" if args.involutive else "all",
         jobs=args.jobs,
         cap=args.cap,
         time_budget=args.time_budget,
-        checkpoint_dir=checkpoint,
+        checkpoint_dir=args.checkpoint,
     )
     try:
         result = enumeration.enumerate_solutions(task)
@@ -139,10 +137,6 @@ def cmd_enumerate(args) -> int:
         print(f"error: partial result: {exc}", file=sys.stderr)
         return 1
 
-    meta = {}
-    if args.seed is not None:
-        meta["seed"] = f"{args.seed} (no-op)"
-        print(f"seed: {args.seed} (no-op)")
     counts = result.counts()
     if args.involutive:
         print(counts["involutive"])
@@ -152,9 +146,7 @@ def cmd_enumerate(args) -> int:
         print(f"total: {counts['total']}")
     if args.count_only:
         return 0
-    header = fileio.StreamHeader(
-        size=result.size, mode=result.mode, count=result.total, meta=meta
-    )
+    header = fileio.StreamHeader(size=result.size, mode=result.mode, count=result.total)
     text = fileio.stream_to_text(header, result.classes)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -312,12 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float, default=None,
                    help="wall-clock budget in seconds; partial results error out")
     p.add_argument("--checkpoint", default=None,
-                   help="directory for resumable subtree results "
-                   "(env: YBX_CHECKPOINT_DIR)")
+                   help="directory for resumable subtree results")
     p.add_argument("--out", default=None, help="write one multi-record stream file")
     p.add_argument("--out-dir", default=None, help="write one file per class")
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded in output metadata; currently a no-op")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("repr", help="print the affine generator matrices")

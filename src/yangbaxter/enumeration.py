@@ -74,8 +74,6 @@ class PartialResultError(RuntimeError):
 class EnumerationTask:
     size: int
     mode: str = "involutive"  # "involutive" | "all"
-    indecomposable: bool | None = None
-    multipermutation: bool | None = None
     jobs: int = 1
     cap: int | None = None
     time_budget: float | None = None
@@ -86,11 +84,6 @@ class EnumerationTask:
             raise ValueError("size must be at least 1")
         if self.mode not in ("involutive", "all"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "all" and self.multipermutation is not None:
-            raise ValueError(
-                "the multipermutation filter needs involutive mode; "
-                "retraction is undefined for general solutions"
-            )
         cap = self.cap if self.cap is not None else DEFAULT_CAPS[self.mode]
         if self.size > cap:
             raise EnumerationCapError(
@@ -674,22 +667,7 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
             n_tasks,
         ) from None
 
-    canonicals = sorted(merged)
-    result = EnumerationResult(n, task.mode, canonicals)
-    if task.indecomposable is not None or task.multipermutation is not None:
-        keep = []
-        for blob, sol in zip(result.canonicals, result.classes):
-            if task.indecomposable is not None:
-                if solutions.is_indecomposable(sol) != task.indecomposable:
-                    continue
-            if task.multipermutation is not None:
-                is_mp = solutions.multipermutation_level(sol) is not None
-                if is_mp != task.multipermutation:
-                    continue
-            keep.append((blob, sol))
-        result = EnumerationResult(n, task.mode, [b for b, _ in keep])
-        result.classes = [sol for _, sol in keep]  # already rebuilt above
-    return result
+    return EnumerationResult(n, task.mode, sorted(merged))
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +712,8 @@ def _braces_on_group(G: groups.FiniteGroup) -> list[SkewBrace]:
     table = G.table
     auts = groups.automorphisms(G)
     aut_index = {p: i for i, p in enumerate(auts)}
+    # the whole table pays: composing on demand takes 163,332 compositions
+    # on C2^3 instead of these 28,224, and enumerate_braces(8) about 1.8x longer
     amul = [
         [aut_index[compose(p, q)] for q in auts] for p in auts
     ]

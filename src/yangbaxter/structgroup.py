@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .perms import Perm, compose, identity as identity_perm, invert
 from .solutions import Solution
@@ -297,153 +297,58 @@ def _poly_str(coeffs) -> str:
 
 
 def guess_rational_series(values) -> SeriesGuess | None:
-    """Minimal-order rational function reproducing every supplied value.
+    """Least-order rational function p/q reproducing every supplied value.
 
-    Searches denominators of degree d <= len(values)/2 whose linear
-    recurrence holds from index d on; the numerator absorbs the initial
-    segment.  Exact rational arithmetic throughout; the result re-expands to
-    the inputs or is discarded.  None when nothing of admissible order fits.
+    One Berlekamp-Massey pass (Massey, IEEE Trans. Inf. Theory 15 (1969))
+    over exact rationals finds the least order L and the q with q(0) = 1,
+    deg q <= L, such that sum_i q_i v_{k-i} = 0 for every k >= L; then
+    p = q v mod t^L.  None when 2L >= len(values): the values no longer
+    pin a recurrence of that order down.
+
+    For 2L < len(values) the least recurrence is unique (Massey), so q is
+    the one any exact solver of that order finds.  p and q share no factor:
+    a common g has g(0) != 0, since q(0) = 1, so dividing it out would give
+    q' v = p' mod t^len(values) with a recurrence of order at most L - 1.
+    The result is scaled to integers by the least common denominator, and it
+    re-expands to the inputs or is discarded.
     """
     vals = [Fraction(int(v)) for v in values]
     if len(vals) < 6:
         raise ValueError("need at least 6 values to guess a series")
-    length = len(vals)
-    # keep at least one validation row beyond the unknowns, otherwise order
-    # length/2 degenerates into interpolation and never fails
-    for d in range(1, (length - 1) // 2 + 1):
-        rows = [[vals[k - i] for i in range(1, d + 1)] for k in range(d, length)]
-        rhs = [-vals[k] for k in range(d, length)]
-        tail = _solve_exact(rows, rhs)
-        if tail is None:
-            continue
-        q = [Fraction(1)] + tail
-        p = [
-            sum(q[i] * vals[k - i] for i in range(0, k + 1) if i <= d)
-            for k in range(d)
-        ]
-        guess = _normalize_fraction_polys(p, q)
-        if guess is None:
-            continue
-        try:
-            if guess.expand(length) == [int(v) for v in vals]:
-                return guess
-        except ValueError:
-            continue
-    return None
 
+    def conv(q, k):  # coefficient k of q * v
+        return sum(q[i] * vals[k - i] for i in range(min(len(q), k + 1)))
 
-def _solve_exact(rows, rhs):
-    """One exact solution of an overdetermined linear system, or None."""
-    if not rows:
+    # prev is q before the last order change, prev_disc its discrepancy then,
+    # shift the power of t to apply it at
+    q, prev, prev_disc, order, shift = [Fraction(1)], [Fraction(1)], Fraction(1), 0, 1
+    for k in range(len(vals)):
+        disc = conv(q, k)
+        if disc == 0:
+            shift += 1
+            continue
+        step = q + [Fraction(0)] * (shift + len(prev) - len(q))
+        factor = disc / prev_disc
+        for i, c in enumerate(prev):
+            step[shift + i] -= factor * c
+        if 2 * order <= k:
+            order, prev, prev_disc, shift = k + 1 - order, q, disc, 1
+        else:
+            shift += 1
+        q = step
+    if 2 * order >= len(vals):
         return None
-    m, ncols = len(rows), len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][ncols] != 0:
-            return None  # inconsistent
-    solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][ncols]
-    # free variables are zero; verify the full system
-    for r, b in zip(rows, rhs):
-        if sum(c * x for c, x in zip(r, solution)) != b:
-            return None
-    return solution
-
-
-def _normalize_fraction_polys(p, q) -> SeriesGuess | None:
-    p = _trim(p)
-    q = _trim(q)
-    if not q or q[0] == 0:
-        return None
-    if not p:
-        p = [Fraction(0)]
-    g = _poly_gcd(p, q)
-    if len(g) > 1:
-        p = _poly_div(p, g)
-        q = _poly_div(q, g)
-    if q[0] == 0:
-        return None
-    denom_lcm = 1
-    for c in p + q:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    p_int = [int(c * denom_lcm) for c in p]
-    q_int = [int(c * denom_lcm) for c in q]
-    content = 0
-    for c in p_int + q_int:
-        content = _gcd(content, abs(c))
-    if content > 1:
-        p_int = [c // content for c in p_int]
-        q_int = [c // content for c in q_int]
-    if q_int[0] < 0:
-        p_int = [-c for c in p_int]
-        q_int = [-c for c in q_int]
-    return SeriesGuess(tuple(p_int), tuple(q_int))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_gcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _trim(_poly_mod(a, b))
-    if not a:
-        return [Fraction(1)]
-    return [c / a[-1] for c in a]
-
-
-def _poly_mod(a, b):
-    a = list(a)
-    while len(a) >= len(b) and _trim(a):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a = _trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_div(a, b):
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    rem = list(a)
-    while len(rem) >= len(b) and _trim(rem):
-        factor = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        out[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem = _trim(rem)
-    return _trim(out) or [Fraction(0)]
+    p = [conv(q, k) for k in range(order)]
+    while p and p[-1] == 0:
+        p.pop()
+    while q[-1] == 0:
+        q.pop()
+    # q(0) = 1, so the least common denominator leaves coprime integers
+    scale = lcm(*(c.denominator for c in p + q))
+    guess = SeriesGuess(
+        tuple(int(c * scale) for c in p) or (0,), tuple(int(c * scale) for c in q)
+    )
+    return guess if guess.expand(len(vals)) == [int(v) for v in vals] else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,21 @@ the second on those index tables: they canonicalize every leaf.
 `smaller_relabeling_brute` tries every relabeling the prune may use.  The
 counting helpers and `orbit_sum` give the two sides of the orbit-counting
 identity: the number of labeled solutions equals the sum of n!/|Aut(s)| over
-the classes s.
+the classes s.  `guess_by_linear_solves` is the series guess before it used
+Berlekamp-Massey: one exact linear solve per order, then a polynomial gcd.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from itertools import permutations, product
 
 from yangbaxter import braces, enumeration, groups, solutions
 from yangbaxter.braces import SkewBrace
 from yangbaxter.perms import all_perms, compose, invert
+from yangbaxter.structgroup import SeriesGuess
 
 
 def labeled_solutions(n: int):
@@ -349,3 +352,153 @@ def orbit_sum(classes):
         )
         total += math.factorial(n) // aut
     return total
+
+
+def guess_by_linear_solves(values) -> SeriesGuess | None:
+    """Minimal-order rational function reproducing every supplied value.
+
+    Searches denominators of degree d <= len(values)/2 whose linear
+    recurrence holds from index d on; the numerator absorbs the initial
+    segment.  Exact rational arithmetic throughout; the result re-expands to
+    the inputs or is discarded.  None when nothing of admissible order fits.
+    """
+    vals = [Fraction(int(v)) for v in values]
+    if len(vals) < 6:
+        raise ValueError("need at least 6 values to guess a series")
+    length = len(vals)
+    # keep at least one validation row beyond the unknowns, otherwise order
+    # length/2 degenerates into interpolation and never fails
+    for d in range(1, (length - 1) // 2 + 1):
+        rows = [[vals[k - i] for i in range(1, d + 1)] for k in range(d, length)]
+        rhs = [-vals[k] for k in range(d, length)]
+        tail = _solve_exact(rows, rhs)
+        if tail is None:
+            continue
+        q = [Fraction(1)] + tail
+        p = [
+            sum(q[i] * vals[k - i] for i in range(0, k + 1) if i <= d)
+            for k in range(d)
+        ]
+        guess = _normalize_fraction_polys(p, q)
+        if guess is None:
+            continue
+        try:
+            if guess.expand(length) == [int(v) for v in vals]:
+                return guess
+        except ValueError:
+            continue
+    return None
+
+
+def _solve_exact(rows, rhs):
+    """One exact solution of an overdetermined linear system, or None."""
+    if not rows:
+        return None
+    m, ncols = len(rows), len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        pv = aug[row][col]
+        aug[row] = [v / pv for v in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    for r in range(row, m):
+        if aug[r][ncols] != 0:
+            return None  # inconsistent
+    solution = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        solution[col] = aug[r][ncols]
+    # free variables are zero; verify the full system
+    for r, b in zip(rows, rhs):
+        if sum(c * x for c, x in zip(r, solution)) != b:
+            return None
+    return solution
+
+
+def _normalize_fraction_polys(p, q) -> SeriesGuess | None:
+    p = _trim(p)
+    q = _trim(q)
+    if not q or q[0] == 0:
+        return None
+    if not p:
+        p = [Fraction(0)]
+    g = _poly_gcd(p, q)
+    if len(g) > 1:
+        p = _poly_div(p, g)
+        q = _poly_div(q, g)
+    if q[0] == 0:
+        return None
+    denom_lcm = 1
+    for c in p + q:
+        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    p_int = [int(c * denom_lcm) for c in p]
+    q_int = [int(c * denom_lcm) for c in q]
+    content = 0
+    for c in p_int + q_int:
+        content = _gcd(content, abs(c))
+    if content > 1:
+        p_int = [c // content for c in p_int]
+        q_int = [c // content for c in q_int]
+    if q_int[0] < 0:
+        p_int = [-c for c in p_int]
+        q_int = [-c for c in q_int]
+    return SeriesGuess(tuple(p_int), tuple(q_int))
+
+
+def _gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return a
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_gcd(a, b):
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _trim(_poly_mod(a, b))
+    if not a:
+        return [Fraction(1)]
+    return [c / a[-1] for c in a]
+
+
+def _poly_mod(a, b):
+    a = list(a)
+    while len(a) >= len(b) and _trim(a):
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        a = _trim(a)
+        if not a:
+            break
+    return a
+
+
+def _poly_div(a, b):
+    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    rem = list(a)
+    while len(rem) >= len(b) and _trim(rem):
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        out[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+        rem = _trim(rem)
+    return _trim(out) or [Fraction(0)]

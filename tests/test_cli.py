@@ -165,17 +165,6 @@ def test_enumerate_out_dir(capsys, tmp_path):
         fileio.parse_text(f.read_text())  # each one parses as a solution
 
 
-def test_enumerate_seed_recorded(capsys, tmp_path):
-    out_file = tmp_path / "s.txt"
-    code, out, _ = run_cli(
-        capsys, "enumerate", "--size", "2", "--involutive", "--seed", "7",
-        "--out", str(out_file),
-    )
-    assert code == 0
-    assert "seed: 7 (no-op)" in out
-    assert "seed: 7 (no-op)" in out_file.read_text()
-
-
 def test_enumerate_cap_error(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--size", "9", "--involutive",
                            "--count-only")
@@ -272,10 +261,10 @@ def test_brace_ring_rejects_one_sided(capsys, tmp_path):
     assert code == 1
 
 
-def test_checkpoint_env_var_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("YBX_CHECKPOINT_DIR", str(tmp_path))
+def test_checkpoint_flag_stores_every_subtree(capsys, tmp_path):
     code, out, _ = run_cli(
-        capsys, "enumerate", "--size", "3", "--involutive", "--count-only"
+        capsys, "enumerate", "--size", "3", "--involutive", "--count-only",
+        "--checkpoint", str(tmp_path),
     )
     assert code == 0
     assert out.strip() == "5"

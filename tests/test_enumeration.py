@@ -253,21 +253,14 @@ def test_cap_enforced_and_overridable():
     assert run(3, "all", cap=5).total == 26
 
 
-def test_multipermutation_filter_rejected_in_all_mode():
-    with pytest.raises(ValueError):
-        run(3, "all", multipermutation=True)
-
-
 def test_filters():
-    inde = run(4, "involutive", indecomposable=True)
-    assert all(solutions.is_indecomposable(s) for s in inde.classes)
-    total = run(4, "involutive").total
-    deco = run(4, "involutive", indecomposable=False)
-    assert inde.total + deco.total == total
-    mp = run(3, "involutive", multipermutation=True)
-    assert all(
-        solutions.multipermutation_level(s) is not None for s in mp.classes
-    )
+    # the run keeps every class; decomposability and level are read off them
+    classes = run(4, "involutive").classes
+    inde = [s for s in classes if solutions.is_indecomposable(s)]
+    assert (len(inde), len(classes) - len(inde)) == (5, 18)
+    mp = [s for s in run(3, "involutive").classes
+          if solutions.multipermutation_level(s) is not None]
+    assert len(mp) == 5
 
 
 def test_parallel_output_is_deterministic():

@@ -27,13 +27,13 @@ def test_ring_round_trip():
 
 
 def test_stream_round_trip(sol4_irr, sol5_mp):
-    header = StreamHeader(size=4, mode="involutive", count=2, meta={"seed": "1 (no-op)"})
+    header = StreamHeader(size=4, mode="involutive", count=2, meta={"engine": "orderly"})
     # every record must match the header's size and, here, be involutive
     trivial = solutions.make_trivial(4)
     text = fileio.stream_to_text(header, [sol4_irr, trivial])
     stream = fileio.parse_text(text)
     assert stream.header.size == 4
-    assert stream.header.meta["seed"] == "1 (no-op)"
+    assert stream.header.meta["engine"] == "orderly"
     assert stream.solutions == [sol4_irr, trivial]
 
 

@@ -5,10 +5,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from yangbaxter import solutions
 from yangbaxter.structgroup import (
     AffineElement,
     RationalMatrix,
+    SeriesGuess,
     affine_representation,
     additive_group_presentation,
     ball_sizes,
@@ -325,6 +327,46 @@ def test_guess_reexpands_on_size4(sol4_irr):
     assert guess.numerator == (1, 4, 6, 4, 1)
     assert guess.denominator == (1, -5, 10, -10, 5, -1)
     assert guess.expand(len(vals)) == list(vals)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_guess_divides_out_a_common_factor():
+    # (1 + 2t)(1 + t) / ((1 + 2t)(1 - 2t + t^2)) is the odd numbers again
+    p, q = _times([1, 1], [1, 2]), _times([1, -2, 1], [1, 2])
+    vals = SeriesGuess(tuple(p), tuple(q)).expand(10)
+    assert vals == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
+    guess = guess_rational_series(vals)
+    assert (guess.numerator, guess.denominator) == ((1, 1), (1, -2, 1))
+
+
+small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=5)
+
+
+@st.composite
+def series_values(draw):
+    # the first 6..20 coefficients of a random p/q with q(0) = 1, sometimes
+    # with a common factor 1 + a t, or arbitrary small integers
+    count = draw(st.integers(6, 20))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
+    p, q = draw(small_polys), [1] + draw(small_polys)
+    if draw(st.booleans()):
+        factor = [1, draw(st.integers(-3, 3))]
+        p, q = _times(p, factor), _times(q, factor)
+    return SeriesGuess(tuple(p), tuple(q)).expand(count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=series_values())
+def test_guess_matches_the_linear_solves(vals):
+    assert guess_rational_series(vals) == oracles.guess_by_linear_solves(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """What the benchmark, the demos and the README rely on from the library."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tokenize
 from pathlib import Path
 
 import pytest
+
+from yangbaxter import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,3 +93,26 @@ def test_readme_quick_start_values():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert checked == 9
+
+
+def test_readme_cli_lines_parse():
+    # every command in the README's command block parses, and every flag the
+    # prose names in backticks belongs to some subcommand
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    subcommands = next(a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    commands = [shlex.split(line) for line in lines if line.startswith("ybx ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+    options = {opt for sub in subcommands.values() for a in sub._actions
+               for opt in a.option_strings}
+    named = set(re.findall(r"`(--[a-z][a-z-]*)", readme))
+    assert named and named <= options, sorted(named - options)
