@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import permutations
+from functools import cached_property
 
 from . import groups, solutions
 from .groups import FiniteGroup
-from .perms import Perm, lex_min_relabeling, table_isomorphisms, tables_from_bytes
+from .perms import Perm, least_relabeling, table_isomorphisms, tables_from_bytes
 from .solutions import Solution
 
 
@@ -467,22 +466,8 @@ def solution_order_check(A: SkewBrace) -> tuple[int, int]:
 
 
 def brace_canonical_form(A: SkewBrace) -> bytes:
-    """Least serialization of (add, mul) over relabelings fixing 0.
-
-    `add` is serialized first, so the least (add, mul) is the least `add`
-    followed by the least `mul` over the relabelings that reach it.
-    """
-    add_bytes, ties = _additive_ties(A.add)
-    return add_bytes + lex_min_relabeling((A.mul,), ties)[0]
-
-
-@lru_cache
-def _additive_ties(add) -> tuple[bytes, tuple[Perm, ...]]:
-    """Least serialization of an additive table over relabelings fixing 0,
-    and the relabelings that reach it: a coset f0 Aut(G) of the group."""
-    fixing_zero = ((0,) + rest for rest in permutations(range(1, len(add))))
-    add_bytes, ties = lex_min_relabeling((add,), fixing_zero)
-    return add_bytes, tuple(ties)
+    """Least serialization of (add, mul) over the relabelings fixing 0."""
+    return least_relabeling((A.add, A.mul), 1)[0]
 
 
 def brace_from_canonical(blob: bytes) -> SkewBrace:

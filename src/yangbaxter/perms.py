@@ -1,9 +1,11 @@
 """Permutations of {0, ..., n-1} stored as image tuples: p[i] is the image of i.
 
 Solutions (sigma, tau) and braces (add, mul) are both pairs of n x n tables
-on the points, classified up to relabelling; the table helpers at the end
-relabel such tables, search the isomorphisms between them, serialize them
-canonically and decode them again.
+on the points, classified up to relabelling.  The table helpers at the end
+relabel such tables, search the isomorphisms between them, and find their
+least serialization by one branch and bound, `least_relabeling`: it gives
+the canonical forms of solutions and braces, and the lex-leader cut of the
+orderly searches is its early exit.  `tables_from_bytes` decodes the bytes.
 """
 
 from __future__ import annotations
@@ -138,46 +140,32 @@ def table_isomorphisms(src, dst, src_keys, dst_keys) -> Iterator[Perm]:
     tables (a, b) in zip(src, dst), in lexicographic order.
 
     Point x may map only to a point y with src_keys[x] == dst_keys[y].
-    Points are assigned in order, and each new one is checked against the
-    points already assigned.  A pair whose product gets its image later is
-    never checked on the way, so a complete map is checked whole.
+    Points are assigned in order, and each pair (u, v) is checked as soon as
+    u, v and w = a[u][v] all have images: at its larger operand if w is
+    placed by then, else at w.  The pairs to check at each point come from
+    an index built once per call, so a complete map needs no further check.
     """
     n = len(src_keys)
     if sorted(src_keys) != sorted(dst_keys):
         return
-    pairs = list(zip(src, dst))
+    checks: list[list] = [[] for _ in range(n)]
+    for a, b in zip(src, dst):
+        for u in range(n):
+            for v in range(n):
+                checks[max(u, v, a[u][v])].append((a, b, u, v))
     f = [-1] * n
     used = [False] * n
 
-    def consistent(x: int) -> bool:
-        fx = f[x]
-        for y in range(x + 1):
-            fy = f[y]
-            for a, b in pairs:
-                z = f[a[x][y]]
-                if z >= 0 and z != b[fx][fy]:
-                    return False
-                z = f[a[y][x]]
-                if z >= 0 and z != b[fy][fx]:
-                    return False
-        return True
-
     def extend(x: int) -> Iterator[Perm]:
         if x == n:
-            if all(
-                f[a[u][v]] == b[f[u]][f[v]]
-                for a, b in pairs
-                for u in range(n)
-                for v in range(n)
-            ):
-                yield tuple(f)
+            yield tuple(f)
             return
         for img in range(n):
             if used[img] or dst_keys[img] != src_keys[x]:
                 continue
             f[x] = img
             used[img] = True
-            if consistent(x):
+            if all(f[a[u][v]] == b[f[u]][f[v]] for a, b, u, v in checks[x]):
                 yield from extend(x + 1)
             f[x] = -1
             used[img] = False
@@ -185,106 +173,134 @@ def table_isomorphisms(src, dst, src_keys, dst_keys) -> Iterator[Perm]:
     yield from extend(0)
 
 
-def lex_min_relabeling(tables, relabelings) -> tuple[bytes, list[Perm]]:
-    """Least row-by-row serialization of the relabelled tables over `relabelings`,
-    with every relabeling that reaches it (in the order given).
+def least_relabeling(tables, k: int = 0) -> tuple[bytes, Perm]:
+    """Least row-by-row serialization of the relabelled n x n tables over the
+    relabelings g with g({0..k-1}) = {0..k-1}, and one g that reaches it.
 
-    Rows are compared incrementally, so most relabelings are abandoned after
-    a row or two.
+    k = 0 ranges over all of Sym(n), k = 1 over the relabelings fixing 0.
+    Relabelled, row i of a table T has entry j = g[T[g^-1(i)][g^-1(j)]], and
+    the tables are serialized one after the other.  Each entry is one byte,
+    so sizes above 255 raise ValueError.
     """
-    if len(tables[0]) > 255:
+    n = len(tables[0])
+    if n > 255:
         raise ValueError("canonical serialization supports sizes up to 255")
-    best: list[int] | None = None
-    ties: list[Perm] = []
-
-    def serialize(f: Perm) -> list[int] | None:
-        finv = invert(f)
-        flat: list[int] = []
-        for table in tables:
-            for i in finv:
-                row = table[i]
-                flat.extend([f[row[j]] for j in finv])
-                # once flat is lexicographically ahead it stays ahead, so
-                # comparing against the prefix of best is enough to abandon
-                if best is not None and flat > best[: len(flat)]:
-                    return None
-        return flat
-
-    for f in relabelings:
-        flat = serialize(f)
-        if flat is None:
-            continue
-        # a serialization that survives the prune is at most best
-        if flat == best:
-            ties.append(f)
-        else:
-            best, ties = flat, [f]
-    assert best is not None
-    return bytes(best), ties
+    best = [list(row) for table in tables for row in table]
+    g = _least(tables, n, k, best, False)
+    return bytes(itertools.chain.from_iterable(best)), g or identity(n)
 
 
 def has_smaller_relabeling(rows) -> bool:
     """Whether some relabeling g with g({0..k-1}) = {0..k-1}, k = len(rows),
-    makes the rows strictly smaller.
+    makes the rows strictly smaller; False for no rows.
 
-    `rows` are the first k rows of an n x n table on the points.  Relabelled,
-    row i has entry j = g[rows[g^-1(i)][g^-1(j)]], and rows compare in the
-    order `lex_min_relabeling` serializes them.  Branch and bound over partial
-    relabelings: row 0 is compared entry by entry, the point of label j is
-    chosen when column j needs it, and an entry whose point has no label yet
-    is bounded below by the next free label on its side of k; a tie with that
-    bound forces the label.  Labels are thus handed out in ascending order on
-    each side, and row 0 assigns them all, so rows 1..k-1 compare outright.
+    `rows` are the first k rows of an n x n table on the points, relabelled
+    and compared in the order `least_relabeling` serializes them.  This is
+    the lex-leader cut of the orderly searches: `least_relabeling`'s search,
+    stopped at the first entry that comes out below the rows' own.
     """
-    k = len(rows)
-    if k == 0:
+    if not rows:
         return False
-    n = len(rows[0])
-    first = rows[0]
-    targets = [list(r) for r in rows]
+    return _least((rows,), len(rows[0]), len(rows), [list(r) for r in rows], True) is not None
+
+
+def _least(tables, n: int, k: int, best: list[list[int]], first: bool) -> Perm | None:
+    """Lower `best`, the identity's serialization as a list of rows, to the
+    least over the relabelings g of n points with g({0..k-1}) = {0..k-1},
+    and return a g that reaches it, or None if the identity does.  With
+    `first`, stop at the first partial g below the identity instead and
+    return it, -1 marking the labels not placed.
+
+    Branch and bound over partial relabelings, reading the serialization
+    entry by entry against the best so far:
+    - the label of a row, or of a column, is branched when first needed, so
+      labels are placed in ascending order on each side of k;
+    - an entry whose point has no label yet takes the least free label on
+      its side, which is exact, as any other label makes the entry larger;
+    - an identity row (a tuple) reads 0..n-1 under every g, so it places no
+      column labels; without this deferral a group table with 0 fixed would
+      branch over all (n-1)! labelings of its row 0;
+    - once every label is placed, the remaining rows are compared whole.
+    """
+    m = len(tables[0])  # rows per table
+    last = len(best)
     g = [-1] * n  # point -> label
     h = [-1] * n  # label -> point
-    free = [0, k]  # next free label below k, and from k on
+    free = [0, k]  # least free label below k, and from k on
+    found = None
 
-    def column(j: int) -> bool:
+    def walk(r: int, j: int, row, tight: bool) -> bool:
+        """Serialize from entry j of row r on, `row` being the table row of
+        r's label; j = n starts the next row.  True stops the search."""
+        nonlocal found
         if j == n:
-            for i in range(1, k):
-                r = rows[h[i]]
-                row = [g[r[x]] for x in h]
-                if row != targets[i]:
-                    return row < targets[i]
-            return False
-        if h[j] < 0:
-            side = j >= k
-            free[side] = j + 1
-            for q in range(k, n) if side else range(k):
-                if g[q] < 0:
-                    g[q] = j
-                    h[j] = q
-                    if column(j):
-                        return True
-                    g[q] = -1
-            h[j] = -1
-            free[side] = j
-            return False
-        p = rows[h[0]][h[j]]
-        v = g[p]
-        t = first[j]
-        if v < 0:
-            side = p >= k
-            v = free[side]
-            if v == t:
+            r += 1
+            while r < last:
+                t, i = divmod(r, m)
+                if h[i] < 0:
+                    label = i
+                    r -= 1
+                    break
+                row = tables[t][h[i]]
+                if -1 not in h:
+                    out = [g[row[x]] for x in h]
+                elif row[0] == 0 and row == tuple(range(n)):
+                    out = list(row)
+                else:
+                    j = 0
+                    break
+                if tight and out != best[r]:
+                    if out > best[r] or first:
+                        return out < best[r]
+                    tight = False
+                r += 1
+            else:
+                if not tight:
+                    # square tables have a row for every label, so g is complete
+                    found = tuple(g)
+                    best[:] = [list(row) for t in tables for row in relabel_table(t, found)]
+                return False
+        if j < n:
+            q = h[j]
+            if q >= 0:
+                p = row[q]
+                v = g[p]
+                if v < 0:
+                    v = free[p >= k]
+                b = best[r][j]
+                if v != b and tight:
+                    if v > b or first:
+                        return v < b
+                    tight = False
+                if g[p] >= 0:
+                    return walk(r, j + 1, row, tight)
                 g[p] = v
                 h[v] = p
-                free[side] = v + 1
-                if column(j + 1):
+                free[p >= k] = v + 1
+                if walk(r, j + 1, row, tight):
                     return True
                 g[p] = h[v] = -1
-                free[side] = v
+                free[p >= k] = v
                 return False
-        return v < t if v != t else column(j + 1)
+            label = j
+        # branch on the label needed next, trying points from the highest
+        # down, so that the identity's choice, where the best starts, is last
+        side = label >= k
+        free[side] = label + 1
+        for q in range(n - 1, k - 1, -1) if side else range(k - 1, -1, -1):
+            if g[q] < 0:
+                g[q] = label
+                h[label] = q
+                if walk(r, j, row, tight):
+                    return True
+                g[q] = -1
+                # the first child set the best, so the prefix ties with it now
+                tight = True
+        h[label] = -1
+        free[side] = label
+        return False
 
-    return column(0)
+    return tuple(g) if walk(-1, n, None, True) else found
 
 
 def tables_from_bytes(blob: bytes, count: int) -> tuple[Table, ...]:

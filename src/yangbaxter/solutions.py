@@ -14,7 +14,6 @@ isomorph rejection.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +27,7 @@ from .perms import (
     invert,
     is_full_cycle,
     is_perm,
-    lex_min_relabeling,
+    least_relabeling,
     relabel_table,
     table_isomorphisms,
     tables_from_bytes,
@@ -353,8 +352,7 @@ def canonical_form(s: Solution) -> bytes:
 
     Two solutions get equal strings exactly when they are isomorphic.
     """
-    relabelings = itertools.permutations(range(s.size))
-    return lex_min_relabeling((s.sigma, s.tau), relabelings)[0]
+    return least_relabeling((s.sigma, s.tau))[0]
 
 
 def solution_from_canonical(blob: bytes) -> Solution:

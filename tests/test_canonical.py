@@ -3,9 +3,10 @@
 Checkpoints and streams store these bytes, so the digests below pin them:
 each is the SHA-256 of the concatenated, sorted canonical forms of a class
 set.  The properties check that the forms are relabelling invariants and
-that decoding them gives back the stored representative exactly.  A brace's
-form is computed over the relabelings tying on its additive table; the
-checks below hold that set and the result against the full search.
+that decoding them gives back the stored representative exactly.  Both
+forms come from one branch and bound, `perms.least_relabeling`; the brace
+form is also held against a search over every relabeling fixing 0, and
+checked on braces of orders 9 and 12, past the enumerated ones.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from oracles import labeled_braces_on_group
 
 from yangbaxter import braces, groups, solutions
 from yangbaxter.enumeration import EnumerationTask, enumerate_solutions
-from yangbaxter.perms import relabel_table, tables_from_bytes
+from yangbaxter.perms import relabel_table
 
 ALL_4_DIGEST = "bbc7439fbb90aa6835267a7850384834199d237808ab5ffc02108870c114e04d"
 INVOLUTIVE_5_DIGEST = "c63a556e0ad304b1824d2ae7672552af5884a6ca22ccfbe9ffdad9a4f6b612d5"
@@ -86,16 +87,6 @@ def full_brace_form(A) -> bytes:
     )
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_additive_tie_set_is_a_coset_of_the_automorphisms(n):
-    for G in groups.groups_of_order(n):
-        add_bytes, ties = braces._additive_ties(G.table)
-        assert len(ties) == len(groups.automorphisms(G))
-        assert {relabel_table(G.table, f) for f in ties} == {
-            tables_from_bytes(add_bytes, 1)[0]
-        }
-
-
 def test_brace_form_matches_the_full_search_on_labelled_braces():
     checked = 0
     for n in range(1, 8):
@@ -104,3 +95,28 @@ def test_brace_form_matches_the_full_search_on_labelled_braces():
                 assert braces.brace_canonical_form(A) == full_brace_form(A)
                 checked += 1
     assert checked == 21
+
+
+@pytest.fixture(scope="module")
+def braces_past_8():
+    """Trivial and almost trivial braces on C3^2, C12, C2 x C6 and D6, each
+    with its form.  Over all (n-1)! relabelings fixing 0 these forms would
+    take 8! or 11! steps."""
+    out = []
+    for G in (groups.abelian_group(3, 3), groups.cyclic_group(12),
+              groups.abelian_group(2, 6), groups.dihedral_group(6)):
+        for A in (braces.make_trivial_brace(G), braces.make_almost_trivial_brace(G)):
+            out.append((A, braces.brace_canonical_form(A)))
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_brace_form_past_order_8_is_invariant_and_decodes(data, braces_past_8):
+    A, blob = data.draw(st.sampled_from(braces_past_8))
+    f = (0, *data.draw(st.permutations(range(1, A.size))))
+    B = braces.verify_brace(relabel_table(A.add, f), relabel_table(A.mul, f))
+    assert braces.brace_canonical_form(B) == blob
+    C = braces.brace_from_canonical(blob)
+    assert bytes(v for t in (C.add, C.mul) for row in t for v in row) == blob
+    assert braces.brace_canonical_form(C) == blob

@@ -76,6 +76,25 @@ def test_every_emitted_solution_is_valid_and_distinct():
         seen.add(cf)
 
 
+def test_involutive_leaves_are_non_degenerate(monkeypatch):
+    # a leaf of the involutive search is a finite cycle set, hence
+    # non-degenerate (Rump, Adv. Math. 193 (2005)): diagnose never rejects a
+    # leaf for a tau row that is not a bijection
+    conditions = []
+    diagnose = solutions.diagnose
+
+    def spy(n, sigma, tau):
+        found = diagnose(n, sigma, tau)
+        conditions.append(None if found is None else found.condition)
+        return found
+
+    monkeypatch.setattr(solutions, "diagnose", spy)
+    totals = [run(n, "involutive").total for n in range(1, 6)]
+    assert totals == [1, 2, 5, 23, 88]
+    assert conditions.count(None) >= sum(totals)
+    assert "non-degenerate" not in conditions
+
+
 def test_involutive_mode_is_the_involutive_slice_of_all_mode():
     inv = set(run(3, "involutive").canonicals)
     full = run(3, "all")

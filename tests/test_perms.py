@@ -81,21 +81,36 @@ def table_pairs(draw):
     return draw(square), draw(square)
 
 
-@settings(max_examples=60, deadline=None)
-@given(tables=table_pairs())
-def test_lex_min_relabeling_matches_unpruned_minimum(tables):
+@settings(max_examples=150, deadline=None)
+@given(
+    tables=table_pairs(),
+    k=st.integers(0, 1),
+    identity_rows=st.tuples(st.sets(st.integers(0, 3)), st.sets(st.integers(0, 3))),
+)
+def test_lex_min_relabeling_matches_unpruned_minimum(tables, k, identity_rows):
     n = len(tables[0])
+    # identity rows read 0..n-1 under every relabeling, so the search defers
+    # their column labels
+    tables = tuple(
+        tuple(tuple(range(n)) if i in rows else row for i, row in enumerate(t))
+        for t, rows in zip(tables, identity_rows)
+    )
 
     def flat(f):
         moved = [perms.relabel_table(t, f) for t in tables]
         return bytes(v for t in moved for row in t for v in row)
 
-    best, ties = perms.lex_min_relabeling(tables, perms.all_perms(n))
-    assert best == min(flat(f) for f in perms.all_perms(n))
-    assert ties == [f for f in perms.all_perms(n) if flat(f) == best]
-    assert perms.tables_from_bytes(best, 2) in {
-        tuple(perms.relabel_table(t, f) for t in tables) for f in perms.all_perms(n)
-    }
+    relabelings = [f for f in perms.all_perms(n) if f[:k] == tuple(range(k))]
+    best, g = perms.least_relabeling(tables, k)
+    assert best == min(flat(f) for f in relabelings)
+    assert g in relabelings
+    assert flat(g) == best
+
+
+def test_least_relabeling_rejects_sizes_above_255():
+    row = tuple(range(256))
+    with pytest.raises(ValueError):
+        perms.least_relabeling(((row,) * 256,))
 
 
 @st.composite
@@ -138,9 +153,9 @@ def test_table_isomorphisms_match_brute_force(case):
 
 
 def test_table_isomorphisms_check_the_complete_map():
-    # f = (1, 0) passes every check made on the way: the pair (0, 0) has
-    # product 1, which has no image yet when 0 is placed, and is not checked
-    # again when 1 is; yet f[a[0][0]] = 0 != b[1][1] = 1
+    # f = (1, 0) fails only on the pair (0, 0): its product 1 has no image
+    # yet when 0 is placed, so it must be checked when 1 is, where
+    # f[a[0][0]] = 0 != b[1][1] = 1
     a, b = ((1, 1), (1, 1)), ((0, 0), (0, 1))
     assert list(perms.table_isomorphisms((a,), (b,), [0, 0], [0, 0])) == []
 
