@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import groups, solutions
 from .groups import FiniteGroup
-from .perms import Perm, least_relabeling, table_isomorphisms, tables_from_bytes
+from .perms import Perm, cycles, least_relabeling, table_isomorphisms, tables_from_bytes
 from .solutions import Solution
 
 
@@ -445,18 +445,7 @@ def solution_order_check(A: SkewBrace) -> tuple[int, int]:
         for y in range(n):
             u, v = s.r(x, y)
             image[x * n + y] = u * n + v
-    measured = 1
-    seen = [False] * (n * n)
-    for start in range(n * n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = image[j]
-            length += 1
-        measured = math.lcm(measured, length)
+    measured = math.lcm(*(len(c) for c in cycles(image)))
     predicted = 2 * groups.quotient_exponent_mod_center(additive_group(A))
     return measured, predicted
 

@@ -17,16 +17,16 @@ The solution search backtracks over the rows of the sigma family (and, in
   * the remaining braid components on resolved triples.
 
 One symmetry rule (lex-leader, as in orderly generation) serves both
-searches: a node whose k >= 2 sigma rows some relabeling of {0..k-1} onto
-itself makes strictly smaller is cut, and the same test at k = 1 and k = 2
-picks the subtree keys, the first two sigma rows.  The canonical member of a
-class is never cut, since its serialization starts with the sigma rows.  In
-involutive mode tau is fixed by sigma, so a leaf that survives is that
-member; it is validated in full and emitted as its own serialization.  The
-`all` search validates every leaf in full, canonicalizes it and
-deduplicates.  Either way the pruning only ever affects speed, never the
-produced class set.  The workers take the subtrees one at a time from a
-shared counter, checkpointing each as it finishes; merged output is a
+searches: a node whose k sigma rows some relabeling of {0..k-1} onto itself
+makes strictly smaller is cut, and the same test at k = 1 and k = 2 picks
+the subtree keys, the first two sigma rows.  In `all` mode the rule goes on
+below a complete sigma table: a node whose sigma table and first k tau rows
+some relabeling of {0..k-1} onto itself makes strictly smaller is cut.  The
+canonical member of a class is never cut, since its serialization starts
+with these rows.  So in both modes a leaf that survives is that member; it
+is validated in full and emitted as its own serialization, and each class
+reaches exactly one leaf.  The workers take the subtrees one at a time from
+a shared counter, checkpointing each as it finishes; merged output is a
 sorted canonical list, identical for any parallelism degree.
 """
 
@@ -143,9 +143,9 @@ def subtree_tasks(n: int) -> list[tuple[int, ...]]:
     return [
         (r0, r1)
         for r0, p0 in enumerate(perms)
-        if not has_smaller_relabeling([p0])
+        if not has_smaller_relabeling(([p0],))
         for r1, p1 in enumerate(perms)
-        if not has_smaller_relabeling([p0, p1])
+        if not has_smaller_relabeling(([p0, p1],))
     ]
 
 
@@ -262,11 +262,12 @@ def _involutive_leaf(n: int, sig, sinv) -> Solution | None:
 def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
     """Canonical forms of the classes whose canonical member lies below prefix.
 
-    Orderly generation: a node whose k >= 2 sigma rows some relabeling of
+    Orderly generation: a node whose k sigma rows some relabeling of
     {0..k-1} onto itself makes strictly smaller has no canonical member below
     it, since every completion is beaten by the same relabeling.  The
     canonical member of a class is never cut: no relabeling lowers any
-    prefix of it, so its first two rows form a subtree key.  A leaf that
+    prefix of it, so its first two rows form a subtree key.  The key passed
+    the cut when it was picked, so the cut starts below it.  A leaf that
     survives at k = n is that member, and since tau is fixed by sigma, its
     own serialization is its canonical form.
     """
@@ -280,7 +281,7 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
 
     def dfs(k: int) -> None:
         deadline.tick()
-        if k >= 2 and has_smaller_relabeling(sig):
+        if k > len(prefix) and has_smaller_relabeling((sig,)):
             return
         if k == n:
             leaf = _involutive_leaf(n, sig, sinv)
@@ -341,27 +342,6 @@ def _tau_domains(sig, sinv, n: int):
     return domains
 
 
-def _tau_row_candidates(domain_row, n: int):
-    """All bijective rows consistent with per-cell domains."""
-    out: list[tuple[int, ...]] = []
-    row = [0] * n
-    used = [False] * n
-
-    def cells(x: int) -> None:
-        if x == n:
-            out.append(tuple(row))
-            return
-        for t in domain_row[x]:
-            if not used[t]:
-                used[t] = True
-                row[x] = t
-                cells(x + 1)
-                used[t] = False
-
-    cells(0)
-    return out
-
-
 def _tau_rows_ok(trows, k: int, n: int, sig) -> bool:
     # braid component 3: tau_{tau_z(y)} o tau_{sigma_y(z)} = tau_z o tau_y
     for y in range(k + 1):
@@ -393,15 +373,6 @@ def _tau_rows_ok(trows, k: int, n: int, sig) -> bool:
                     continue
                 if trows[w][sig[x][y]] != sig[trows[v][x]][trows[z][y]]:
                     return False
-    # partial injectivity of the pair map on determined columns
-    seen = set()
-    for y in range(k + 1):
-        tr_y = trows[y]
-        for x in range(n):
-            code = sig[x][y] * n + tr_y[x]
-            if code in seen:
-                return False
-            seen.add(code)
     return True
 
 
@@ -412,8 +383,12 @@ def _search_all(n: int, prefix, deadline: _Deadline) -> set[bytes]:
     the involutive search and by a pigeonhole bound: the rows required by
     the row-product identity on the resolved pairs must fit into the rows
     still to be placed.  A sigma table that passes the rule at k = n is the
-    least of its class, the canonical member's.  Tau is not fixed by sigma,
-    so every leaf is validated in full and canonicalized.
+    least of its class, the canonical member's.  The tau rows are then built
+    cell by cell over the cell domains, each row and the pair map kept
+    injective, and the rule runs on (sigma, first k tau rows) at every tau
+    node with k >= 1.  A leaf that survives is the canonical member: it is
+    validated in full and emitted as its own serialization, as in
+    involutive mode.
     """
     perms = all_perms(n)
     inverses = [invert(p) for p in perms]
@@ -427,25 +402,41 @@ def _search_all(n: int, prefix, deadline: _Deadline) -> set[bytes]:
             return
         sigma = tuple(sig)
         trows: list[tuple[int, ...]] = []
+        pairs = [False] * (n * n)  # pair codes sigma_x(y) * n + tau_y(x) taken
 
         def dfs_tau(k: int) -> None:
             deadline.tick()
+            if k and has_smaller_relabeling((sigma, trows)):
+                return
             if k == n:
                 tau = tuple(trows)
                 if solutions.diagnose(n, sigma, tau) is None:
-                    found.add(solutions.canonical_form(Solution(n, sigma, tau)))
+                    found.add(bytes(chain.from_iterable(sigma + tau)))
                 return
-            for cand in _tau_row_candidates(domains[k], n):
-                trows.append(cand)
+            cells(k, 0, [0] * n, [False] * n)
+
+        def cells(k: int, x: int, row: list[int], used: list[bool]) -> None:
+            """Fill tau_k(x), tau_k(x+1), ... from the cell domains, keeping the
+            row and the pair map injective."""
+            if x == n:
+                trows.append(tuple(row))
                 if _tau_rows_ok(trows, k, n, sigma):
                     dfs_tau(k + 1)
                 trows.pop()
+                return
+            base = sigma[x][k] * n
+            for t in domains[k][x]:
+                if not used[t] and not pairs[base + t]:
+                    used[t] = pairs[base + t] = True
+                    row[x] = t
+                    cells(k, x + 1, row, used)
+                    used[t] = pairs[base + t] = False
 
         dfs_tau(0)
 
     def dfs_sigma(k: int, required: set) -> None:
         deadline.tick()
-        if k >= 2 and has_smaller_relabeling(sig):
+        if k > len(prefix) and has_smaller_relabeling((sig,)):
             return
         if k == n:
             tau_phase()

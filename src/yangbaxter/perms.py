@@ -4,8 +4,10 @@ Solutions (sigma, tau) and braces (add, mul) are both pairs of n x n tables
 on the points, classified up to relabelling.  The table helpers at the end
 relabel such tables, search the isomorphisms between them, and find their
 least serialization by one branch and bound, `least_relabeling`: it gives
-the canonical forms of solutions and braces, and the lex-leader cut of the
-orderly searches is its early exit.  `tables_from_bytes` decodes the bytes.
+the canonical forms of solutions and braces, and its early exit,
+`has_smaller_relabeling`, is the lex-leader cut of the orderly searches on
+complete tables followed by the first k rows of one more.
+`tables_from_bytes` decodes the bytes.
 """
 
 from __future__ import annotations
@@ -190,18 +192,21 @@ def least_relabeling(tables, k: int = 0) -> tuple[bytes, Perm]:
     return bytes(itertools.chain.from_iterable(best)), g or identity(n)
 
 
-def has_smaller_relabeling(rows) -> bool:
-    """Whether some relabeling g with g({0..k-1}) = {0..k-1}, k = len(rows),
-    makes the rows strictly smaller; False for no rows.
+def has_smaller_relabeling(tables) -> bool:
+    """Whether some relabeling g with g({0..k-1}) = {0..k-1} makes the
+    tables strictly smaller; False if the first table has no rows.
 
-    `rows` are the first k rows of an n x n table on the points, relabelled
-    and compared in the order `least_relabeling` serializes them.  This is
-    the lex-leader cut of the orderly searches: `least_relabeling`'s search,
-    stopped at the first entry that comes out below the rows' own.
+    Every table is a complete n x n table on the points but the last, which
+    holds its first k rows.  Relabelled, the tables are compared in the
+    order `least_relabeling` serializes them; the last table's first k rows
+    then come from its own first k rows, since g keeps {0..k-1} together.
+    This is the lex-leader cut of the orderly searches: `least_relabeling`'s
+    search, stopped at the first entry that comes out below the tables' own.
     """
-    if not rows:
+    if not tables[0]:
         return False
-    return _least((rows,), len(rows[0]), len(rows), [list(r) for r in rows], True) is not None
+    best = [list(row) for table in tables for row in table]
+    return _least(tables, len(tables[0][0]), len(tables[-1]), best, True) is not None
 
 
 def _least(tables, n: int, k: int, best: list[list[int]], first: bool) -> Perm | None:
@@ -209,7 +214,9 @@ def _least(tables, n: int, k: int, best: list[list[int]], first: bool) -> Perm |
     least over the relabelings g of n points with g({0..k-1}) = {0..k-1},
     and return a g that reaches it, or None if the identity does.  With
     `first`, stop at the first partial g below the identity instead and
-    return it, -1 marking the labels not placed.
+    return it, -1 marking the labels not placed.  Only then may the last
+    table be short, its first k rows: a least g is not sought, so no table
+    is relabelled whole.
 
     Branch and bound over partial relabelings, reading the serialization
     entry by entry against the best so far:
@@ -222,7 +229,7 @@ def _least(tables, n: int, k: int, best: list[list[int]], first: bool) -> Perm |
       branch over all (n-1)! labelings of its row 0;
     - once every label is placed, the remaining rows are compared whole.
     """
-    m = len(tables[0])  # rows per table
+    m = len(tables[0])  # rows per table; only the last may have fewer
     last = len(best)
     g = [-1] * n  # point -> label
     h = [-1] * n  # label -> point

@@ -542,24 +542,29 @@ class Presentation:
     ambiguous: bool = False
 
 
+def _relations(pairs) -> tuple[tuple[Word, Word], ...]:
+    """The (lhs, rhs) pairs in order, less the trivial ones and the repeats
+    of a relation in either direction."""
+    seen = set()
+    relations = []
+    for lhs, rhs in pairs:
+        key = tuple(sorted((lhs, rhs)))
+        if lhs != rhs and key not in seen:
+            seen.add(key)
+            relations.append((lhs, rhs))
+    return tuple(relations)
+
+
 def structure_presentation(s: Solution) -> Presentation:
     """Generators 1..n with x y = u v whenever r(x, y) = (u, v), deduplicated."""
     n = s.size
-    seen = set()
-    relations = []
-    for x in range(n):
-        for y in range(n):
-            u, v = s.r(x, y)
-            lhs = (x + 1, y + 1)
-            rhs = (u + 1, v + 1)
-            if lhs == rhs:
-                continue
-            key = tuple(sorted((lhs, rhs)))
-            if key in seen:
-                continue
-            seen.add(key)
-            relations.append((lhs, rhs))
-    return Presentation(n, tuple(relations))
+    pairs = (
+        ((x + 1, y + 1), (u + 1, v + 1))
+        for x in range(n)
+        for y in range(n)
+        for u, v in [s.r(x, y)]
+    )
+    return Presentation(n, _relations(pairs))
 
 
 def additive_group_presentation(s: Solution) -> Presentation:
@@ -570,21 +575,13 @@ def additive_group_presentation(s: Solution) -> Presentation:
     not normalized.
     """
     n = s.size
-    seen = set()
-    relations = []
-    for x in range(n):
-        for y in range(n):
-            u, v = s.r(x, y)
-            lhs = (x + 1, u + 1)
-            rhs = (u + 1, s.sigma[u][v] + 1)
-            if lhs == rhs:
-                continue
-            key = tuple(sorted((lhs, rhs)))
-            if key in seen:
-                continue
-            seen.add(key)
-            relations.append((lhs, rhs))
-    return Presentation(n, tuple(relations), ambiguous=True)
+    pairs = (
+        ((x + 1, u + 1), (u + 1, s.sigma[u][v] + 1))
+        for x in range(n)
+        for y in range(n)
+        for u, v in [s.r(x, y)]
+    )
+    return Presentation(n, _relations(pairs), ambiguous=True)
 
 
 def generator_collapse(p: Presentation) -> list[list[int]]:

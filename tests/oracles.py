@@ -241,7 +241,8 @@ def unpruned_all_search(n: int, prefix) -> set[bytes]:
     row-product identity requires (x, y, u = sigma_x(y) among the placed
     rows) fit into the rows still free; tau rows range over the cell
     domains those rows give and are kept while the braid components and the
-    pair map's injectivity hold on the resolved cells.
+    pair map's injectivity hold on the resolved cells.  The tau rows are
+    listed from Sym(n) here, not with the search's own row builder.
     """
     perms, index, mul, inv = sym_tables(n)
     found: set[bytes] = set()
@@ -293,7 +294,9 @@ def unpruned_all_search(n: int, prefix) -> set[bytes]:
                 if solutions.diagnose(n, tuple(sig), tau) is None:
                     found.add(solutions.canonical_form(solutions.Solution(n, tuple(sig), tau)))
                 return
-            for cand in enumeration._tau_row_candidates(domains[k], n):
+            for cand in permutations(range(n)):
+                if not all(cand[x] in domains[k][x] for x in range(n)):
+                    continue
                 trows.append(index[cand])
                 if tau_ok(trows, sig, k):
                     dfs_tau(k + 1)
@@ -316,19 +319,23 @@ def unpruned_all_search(n: int, prefix) -> set[bytes]:
     return found
 
 
-def smaller_relabeling_brute(rows) -> bool:
-    """Whether some g with g({0..k-1}) = {0..k-1}, k = len(rows), makes the
-    relabelled rows strictly smaller; all k!(n-k)! such g are tried."""
-    k = len(rows)
-    if k == 0:
+def smaller_relabeling_brute(tables) -> bool:
+    """Whether some g with g({0..k-1}) = {0..k-1} makes the relabelled
+    tables strictly smaller, row by row; every table is complete but the
+    last, which holds its first k rows.  All k!(n-k)! such g are tried."""
+    if not tables[0]:
         return False
-    n = len(rows[0])
-    target = [list(r) for r in rows]
+    n = len(tables[0][0])
+    k = len(tables[-1])
+    target = [list(r) for t in tables for r in t]
     for low in permutations(range(k)):
         for high in permutations(range(k, n)):
             g = low + high
             h = invert(g)
-            if [[g[rows[h[i]][h[j]]] for j in range(n)] for i in range(k)] < target:
+            moved = [
+                [g[t[h[i]][h[j]]] for j in range(n)] for t in tables for i in range(len(t))
+            ]
+            if moved < target:
                 return True
     return False
 

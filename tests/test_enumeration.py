@@ -183,7 +183,26 @@ def test_all_mode_labeled_count_is_the_orbit_sum(n, labeled):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lex_leader_check_matches_brute_force_on_search_nodes(n):
     for rows, _ in row_generator_nodes(n, [], [], depth=n):
-        assert has_smaller_relabeling(rows) == smaller_relabeling_brute(rows), rows
+        assert has_smaller_relabeling((rows,)) == smaller_relabeling_brute((rows,)), rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lex_leader_check_matches_brute_force_on_tau_nodes(n, monkeypatch):
+    # every (sigma, first k tau rows) the all-mode search asks about
+    asked = []
+
+    def spy(tables):
+        if len(tables) == 2:
+            asked.append((tables[0], tuple(tables[1])))
+        return has_smaller_relabeling(tables)
+
+    keys = enumeration.subtree_tasks(n)
+    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
+    for prefix in keys:
+        enumeration._search_all(n, prefix, enumeration._Deadline(None))
+    assert asked
+    for tables in asked:
+        assert has_smaller_relabeling(tables) == smaller_relabeling_brute(tables), tables
 
 
 def test_lex_leader_check_matches_brute_force_on_size5_subtree_prefixes():
@@ -191,11 +210,11 @@ def test_lex_leader_check_matches_brute_force_on_size5_subtree_prefixes():
     perms = all_perms(5)
     cut = 0
     for p0 in perms:
-        if smaller_relabeling_brute([p0]):
+        if smaller_relabeling_brute(([p0],)):
             continue
         for p1 in perms:
-            expected = smaller_relabeling_brute([p0, p1])
-            assert has_smaller_relabeling([p0, p1]) == expected, (p0, p1)
+            expected = smaller_relabeling_brute(([p0, p1],))
+            assert has_smaller_relabeling(([p0, p1],)) == expected, (p0, p1)
             cut += expected
     assert cut > 0
 
@@ -209,9 +228,9 @@ def test_subtree_keys_are_the_lex_leader_pairs(n):
     assert enumeration.subtree_tasks(n) == [
         (r0, r1)
         for r0, p0 in enumerate(perms)
-        if not smaller_relabeling_brute([p0])
+        if not smaller_relabeling_brute(([p0],))
         for r1, p1 in enumerate(perms)
-        if not smaller_relabeling_brute([p0, p1])
+        if not smaller_relabeling_brute(([p0, p1],))
     ]
 
 
@@ -254,9 +273,53 @@ def test_orderly_all_search_matches_unpruned_oracle_per_subtree(n):
         assert orderly[-1] <= oracle[-1], prefix
     classes = set().union(*orderly)
     assert classes == set().union(*oracle)
-    # the lex-leader check at k = n leaves only least sigma tables, the
-    # canonical member's, so a class is found in one subtree only
+    # the lex-leader check on the sigma rows and then on the tau rows leaves
+    # only canonical members, so a class is found in one subtree only ...
     assert sum(map(len, orderly)) == len(classes)
+    # ... as its own serialization
+    for blob in classes:
+        assert solutions.canonical_form(solutions.solution_from_canonical(blob)) == blob
+
+
+def test_all_mode_reaches_each_class_at_one_leaf(monkeypatch):
+    # a surviving leaf is the canonical member, emitted as it stands: one
+    # diagnose per class and no canonical form
+    calls = {"canonical": 0, "diagnose": 0}
+    canonical, diagnose = solutions.canonical_form, solutions.diagnose
+
+    def counting_canonical(s):
+        calls["canonical"] += 1
+        return canonical(s)
+
+    def counting_diagnose(n, sigma, tau):
+        calls["diagnose"] += 1
+        return diagnose(n, sigma, tau)
+
+    monkeypatch.setattr(solutions, "canonical_form", counting_canonical)
+    monkeypatch.setattr(solutions, "diagnose", counting_diagnose)
+    for n, classes in zip(range(1, 5), [1, 4, 26, 253]):
+        calls.update(canonical=0, diagnose=0)
+        assert run(n, "all").total == classes
+        assert calls == {"canonical": 0, "diagnose": classes}, n
+
+
+@pytest.mark.parametrize("mode, sizes", [("involutive", range(1, 6)), ("all", range(1, 5))])
+def test_searches_do_not_recheck_their_subtree_key(mode, sizes, monkeypatch):
+    # subtree_tasks hands out only keys that passed the cut at k = 1 and 2
+    search = enumeration._search_involutive if mode == "involutive" else enumeration._search_all
+    keys = {n: enumeration.subtree_tasks(n) for n in sizes}
+    asked = set()
+
+    def spy(tables):
+        asked.add(tuple(tuple(t) for t in tables))
+        return has_smaller_relabeling(tables)
+
+    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
+    for n in sizes:
+        for prefix in keys[n]:
+            search(n, prefix, enumeration._Deadline(None))
+    key_rows = {(tuple(all_perms(n)[r] for r in key),) for n in sizes for key in keys[n]}
+    assert asked and not key_rows & asked
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ A checkpoint directory makes interrupted runs resumable:
     YBX_RUN_LONG=1 pytest tests/test_long_runs.py -v -s
 """
 
+import hashlib
 import os
 
 import pytest
@@ -21,6 +22,9 @@ pytestmark = pytest.mark.skipif(
 
 # recorded reference counts for the opt-in sizes
 INVOLUTIVE_REFERENCE = {6: 595, 7: 3456}
+# SHA-256 of the sorted canonical forms of all mode at size 5, the same with
+# jobs 1 and 2
+ALL_5_DIGEST = "01e4699efe65d52adce846bc5317aba38133278b5fbcf79d80d1f6eae48107cf"
 
 
 def test_involutive_size_6(tmp_path):
@@ -50,6 +54,7 @@ def test_all_mode_size_5(tmp_path):
     counts = result.counts()
     assert counts["non_involutive"] == 3519
     assert counts["total"] == 3607
+    assert hashlib.sha256(b"".join(sorted(result.canonicals))).hexdigest() == ALL_5_DIGEST
 
 
 def test_labeled_count_is_the_orbit_sum_size_5():
