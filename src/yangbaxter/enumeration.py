@@ -5,9 +5,10 @@ The solution search backtracks over the rows of the sigma family (and, in
 
   * row products: sigma_{sigma_x(y)} o sigma_{tau_y(x)} = sigma_x o sigma_y.
     In involutive mode, where tau_y(x) = sigma_u^-1(x) with u = sigma_x(y),
-    each sigma row is built one cell at a time and a partial row is dropped
-    as soon as the identity fails pointwise on its known entries; a row the
-    identity on earlier rows fixes outright is tried alone;
+    it is the cycle-set identity on the table L[x][y] = sigma_x^-1(y): the
+    sigma cells are set one at a time, and each cell set is propagated
+    through the identity's triples, which force further cells of L or fail
+    the node;
   * in `all` mode the identity makes the row sigma_{tau_y(x)} equal to
     sigma_u^-1 sigma_x sigma_y: during the sigma phase these required rows
     must fit into the rows still to be placed (a pigeonhole bound), and
@@ -43,7 +44,7 @@ from pathlib import Path
 from . import braces as braces_mod
 from . import groups, solutions
 from .braces import SkewBrace
-from .perms import all_perms, compose, has_smaller_relabeling, invert
+from .perms import all_perms, compose, has_smaller_relabeling, invert, nth_perm
 from .perms import relabel_table, tables_from_bytes
 from .solutions import Solution
 
@@ -150,6 +151,10 @@ def subtree_tasks(n: int) -> list[tuple[int, ...]]:
 
 
 class _Deadline:
+    """Raises TimeBudgetExceeded once the clock, read every 4096 ticks, is
+    past `at`.  The involutive search ticks once per cell it sets, the
+    all-mode search once per node."""
+
     __slots__ = ("at", "ticks")
 
     def __init__(self, at: float | None):
@@ -165,137 +170,156 @@ class _Deadline:
 
 
 # ---------------------------------------------------------------------------
-# Involutive search: rows of sigma only, tau is forced
-
-
-def _row_products_hold(sig, sinv, k: int, n: int) -> bool:
-    """Row-product identity on the pairs that involve row k, where defined.
-
-    For x, y <= k with u = sigma_x(y) <= k and t = sigma_u^-1(x) <= k, and
-    one of x, y, u, t equal to k, checks sigma_x(sigma_y(z)) =
-    sigma_u(sigma_t(z)) pointwise.  Rows below k are complete; row k may be
-    partial, with -1 in its unfilled cells (and in the unused values of its
-    inverse), and every lookup that meets such a cell is skipped.  Pairs
-    within rows below k were checked when their last row was placed, so on
-    a complete row k this is the whole identity on rows 0..k.
-    """
-    for x in range(k + 1):
-        sx = sig[x]
-        for y in range(k + 1):
-            u = sx[y]
-            if u < 0 or u > k:
-                continue
-            t = sinv[u][x]
-            if t < 0 or t > k:
-                continue
-            if x != k and y != k and u != k and t != k:
-                continue
-            sy = sig[y]
-            su = sig[u]
-            st = sig[t]
-            for z in range(n):
-                a = sy[z]
-                b = st[z]
-                if a < 0 or b < 0:
-                    continue
-                left = sx[a]
-                right = su[b]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-    return True
-
-
-def _involutive_rows(sig, sinv, n: int) -> list[tuple[int, ...]]:
-    """Every row sigma_k, k = len(sig), that keeps the row-product identity.
-
-    Builds the row one cell at a time, z = 0..n-1, over the values not yet
-    in it in ascending order, and drops a partial row as soon as
-    `_row_products_hold` fails on it; the rows come out in lexicographic
-    order, the order of `all_perms(n)`.
-    """
-    k = len(sig)
-    for x in range(k):
-        for y in range(k):
-            u = sig[x][y]
-            if u < k and sinv[u][x] == k:
-                # sigma_x sigma_y = sigma_u sigma_k fixes the whole row
-                forced = tuple(sinv[u][sig[x][sig[y][z]]] for z in range(n))
-                ok = _row_products_hold([*sig, forced], [*sinv, invert(forced)], k, n)
-                return [forced] if ok else []
-    row = [-1] * n
-    row_inv = [-1] * n
-    rows = [*sig, row]
-    invs = [*sinv, row_inv]
-    out: list[tuple[int, ...]] = []
-
-    def cells(z: int) -> None:
-        if z == n:
-            out.append(tuple(row))
-            return
-        for v in range(n):
-            if row_inv[v] < 0:
-                row[z] = v
-                row_inv[v] = z
-                if _row_products_hold(rows, invs, k, n):
-                    cells(z + 1)
-                row_inv[v] = -1
-        row[z] = -1
-
-    cells(0)
-    return out
-
-
-def _involutive_leaf(n: int, sig, sinv) -> Solution | None:
-    """The involutive candidate on these sigma rows, if it is a solution.
-
-    The rows keep the row-product identity on every pair, so they form a
-    finite cycle set, which is non-degenerate (Rump, Adv. Math. 193 (2005)):
-    its tau rows are bijections.  `diagnose` still checks the whole candidate.
-    """
-    sigma = tuple(sig)
-    tau = tuple(tuple(sinv[sigma[x][y]][x] for x in range(n)) for y in range(n))
-    if solutions.diagnose(n, sigma, tau) is not None:
-        return None
-    return Solution(n, sigma, tau)
+# Involutive search: sigma cells, propagated on the cycle-set table
 
 
 def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
     """Canonical forms of the classes whose canonical member lies below prefix.
 
-    Orderly generation: a node whose k sigma rows some relabeling of
-    {0..k-1} onto itself makes strictly smaller has no canonical member below
-    it, since every completion is beaten by the same relabeling.  The
+    An involutive solution is fixed by its sigma rows: tau_y(x) =
+    sigma_u^-1(x) with u = sigma_x(y).  Written in the cycle-set table
+    L[x][y] = x.y = sigma_x^-1(y), the row-product identity
+    sigma_x o sigma_y = sigma_u o sigma_{tau_y(x)} on all pairs is the
+    cycle-set identity (x.y).(x.z) = (y.x).(y.z) on all triples, every row
+    of L being a permutation (Rump, Adv. Math. 193 (2005)).  A finite cycle
+    set is non-degenerate, so its tau rows are bijections.
+
+    The search keeps the sigma table and L, with -1 in the unknown cells, and
+    fills sigma row by row: cells z = 0..n-1, values in ascending order,
+    skipping the cells already forced.  Setting sigma_k(z) = v sets
+    L[k][v] = z and propagates.  The triple (x, y, z) ties L[a][b] to
+    L[c][d] once a = L[x][y], b = L[x][z], c = L[y][x] and d = L[y][z] are
+    known: a known cell on one side sets the cell on the other, and a value
+    already in its row fails the node.  The triple (y, x, z) is (x, y, z)
+    with its sides swapped, so a set cell (p, q) is revisited in the
+    triples (p, q, .) and (p, ., q), where it is a, b, c or d, and in the
+    triples (x, sigma_x(p), sigma_x(q)), where it is L[a][b].
+
+    Orderly generation: a node whose k complete sigma rows some relabeling
+    of {0..k-1} onto itself makes strictly smaller has no canonical member
+    below it, since every completion is beaten by the same relabeling.  The
     canonical member of a class is never cut: no relabeling lowers any
     prefix of it, so its first two rows form a subtree key.  The key passed
     the cut when it was picked, so the cut starts below it.  A leaf that
     survives at k = n is that member, and since tau is fixed by sigma, its
     own serialization is its canonical form.
     """
-    perms = all_perms(n)
     found: set[bytes] = set()
-    sig = [perms[r] for r in prefix]
-    sinv = [invert(p) for p in sig]
-    for k in range(len(sig)):
-        if not _row_products_hold(sig, sinv, k, n):
-            return found
+    sig = [[-1] * n for _ in range(n)]
+    L = [[-1] * n for _ in range(n)]  # L[x][y] = sigma_x^-1(y)
+    trail: list[tuple[int, int]] = []  # the cells of L set so far, in order
+    queue: list[tuple[int, int]] = []  # the cells set but not yet propagated
+
+    def put(p: int, q: int, w: int) -> bool:
+        """Set the unknown cell L[p][q] to w, unless w is in row p already."""
+        if sig[p][w] >= 0:
+            return False
+        L[p][q] = w
+        sig[p][w] = q
+        trail.append((p, q))
+        queue.append((p, q))
+        return True
+
+    def assign(p: int, q: int, w: int) -> bool:
+        """Set L[p][q] = w, sigma_p(w) = q, and every cell the triples force."""
+        queue.clear()
+        if not put(p, q, w):
+            return False
+        while queue:
+            deadline.tick()
+            p, q = queue.pop()
+            Lp = L[p]
+            Lq = L[q]
+            w = Lp[q]
+            # (p, q, z): a = w, b = L[p][z], c = L[q][p], d = L[q][z]
+            c = Lq[p]
+            if c >= 0:
+                La = L[w]
+                Lc = L[c]
+                for z in range(n):
+                    b = Lp[z]
+                    d = Lq[z]
+                    if b >= 0 and d >= 0:
+                        left = La[b]
+                        right = Lc[d]
+                        if left != right and not (
+                            put(w, b, right) if left < 0
+                            else right < 0 and put(c, d, left)
+                        ):
+                            return False
+            # (p, y, q): a = L[p][y], b = w, c = L[y][p], d = L[y][q]
+            for y in range(n):
+                a = Lp[y]
+                if a >= 0:
+                    Ly = L[y]
+                    c = Ly[p]
+                    d = Ly[q]
+                    if c >= 0 and d >= 0:
+                        left = L[a][w]
+                        right = L[c][d]
+                        if left != right and not (
+                            put(a, w, right) if left < 0
+                            else right < 0 and put(c, d, left)
+                        ):
+                            return False
+            # (x, sigma_x(p), sigma_x(q)): a = p, b = q, so L[a][b] = w
+            for x in range(n):
+                sx = sig[x]
+                y = sx[p]
+                z = sx[q]
+                if y >= 0 and z >= 0:
+                    Ly = L[y]
+                    c = Ly[x]
+                    d = Ly[z]
+                    if c >= 0 and d >= 0:
+                        right = L[c][d]
+                        if right != w and not (right < 0 and put(c, d, w)):
+                            return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            p, q = trail.pop()
+            sig[p][L[p][q]] = -1
+            L[p][q] = -1
+
+    rows = [nth_perm(n, r) for r in prefix]  # the complete sigma rows, for the cut
+    # the key's cells, each one that is forced already checked against it
+    for x, row in enumerate(rows):
+        for z, v in enumerate(row):
+            if sig[x][z] != v and not (L[x][v] < 0 and assign(x, v, z)):
+                return found
 
     def dfs(k: int) -> None:
-        deadline.tick()
-        if k > len(prefix) and has_smaller_relabeling((sig,)):
+        if k > len(prefix) and has_smaller_relabeling((rows,)):
             return
         if k == n:
-            leaf = _involutive_leaf(n, sig, sinv)
-            if leaf is not None:
-                found.add(bytes(chain.from_iterable(leaf.sigma + leaf.tau)))
+            sigma = tuple(rows)
+            tau = tuple(tuple(L[sigma[x][y]][x] for x in range(n)) for y in range(n))
+            if solutions.diagnose(n, sigma, tau) is None:
+                found.add(bytes(chain.from_iterable(sigma + tau)))
             return
-        for row in _involutive_rows(sig, sinv, n):
-            sig.append(row)
-            sinv.append(invert(row))
-            dfs(k + 1)
-            sig.pop()
-            sinv.pop()
+        cells(k, 0)
 
-    dfs(len(sig))
+    def cells(k: int, z: int) -> None:
+        """Fill sigma_k(z), sigma_k(z+1), ..., skipping the forced cells."""
+        row = sig[k]
+        while z < n and row[z] >= 0:
+            z += 1
+        if z == n:
+            rows.append(tuple(row))
+            dfs(k + 1)
+            rows.pop()
+            return
+        Lk = L[k]
+        for v in range(n):
+            if Lk[v] < 0:
+                mark = len(trail)
+                if assign(k, v, z):
+                    cells(k, z + 1)
+                undo(mark)
+
+    dfs(len(rows))
     return found
 
 

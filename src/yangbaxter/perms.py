@@ -13,6 +13,7 @@ complete tables followed by the first k rows of one more.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections.abc import Iterator
 
@@ -124,6 +125,16 @@ def to_cycles(p: Perm, one_based: bool = True) -> str:
 def all_perms(n: int) -> list[Perm]:
     """All permutations of n points in lexicographic order (identity first)."""
     return list(itertools.permutations(range(n)))
+
+
+def nth_perm(n: int, r: int) -> Perm:
+    """all_perms(n)[r], without listing the n! permutations."""
+    points = list(range(n))
+    out = []
+    for i in range(n - 1, -1, -1):
+        q, r = divmod(r, math.factorial(i))
+        out.append(points.pop(q))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 The brute-force class sets prune nothing beyond validity, so they are slow
 and kept to small sizes.  `labeled_braces_on_group` is the brace search
-before it kept one brace per Aut(G)-orbit.  `involutive_row_ok` is the row
-filter the involutive search used before it built rows cell by cell, on the
-index tables of Sym(n) from `sym_tables`.  `unpruned_involutive_search` and
-`unpruned_all_search` are the two searches without the lex-leader prune,
-the second on those index tables: they canonicalize every leaf.
+before it kept one brace per Aut(G)-orbit.  `involutive_rows` is the row
+generator the involutive search used before it propagated the cycle-set
+identity cell by cell: it builds each sigma row cell by cell and checks the
+row-product identity (`row_products_hold`) on the rows placed so far.
+`involutive_row_ok` is the whole-row filter it replaced, on the index tables
+of Sym(n) from `sym_tables`.  `unpruned_involutive_search` (on the row
+generator) and `unpruned_all_search` (on those index tables) are the two
+searches without the lex-leader prune: they canonicalize every leaf.
 `smaller_relabeling_brute` tries every relabeling the prune may use.  The
 counting helpers and `orbit_sum` give the two sides of the orbit-counting
 identity: the number of labeled solutions equals the sum of n!/|Aut(s)| over
@@ -21,7 +24,7 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
-from yangbaxter import braces, enumeration, groups, solutions
+from yangbaxter import braces, groups, solutions
 from yangbaxter.braces import SkewBrace
 from yangbaxter.perms import all_perms, compose, invert
 from yangbaxter.structgroup import SeriesGuess
@@ -197,12 +200,103 @@ def involutive_row_ok(rows: list[int], k: int, perms, mul, inv) -> bool:
     return True
 
 
+def row_products_hold(sig, sinv, k: int, n: int) -> bool:
+    """Row-product identity on the pairs that involve row k, where defined.
+
+    For x, y <= k with u = sigma_x(y) <= k and t = sigma_u^-1(x) <= k, and
+    one of x, y, u, t equal to k, checks sigma_x(sigma_y(z)) =
+    sigma_u(sigma_t(z)) pointwise.  Rows below k are complete; row k may be
+    partial, with -1 in its unfilled cells (and in the unused values of its
+    inverse), and every lookup that meets such a cell is skipped.  Pairs
+    within rows below k were checked when their last row was placed, so on
+    a complete row k this is the whole identity on rows 0..k.
+    """
+    for x in range(k + 1):
+        sx = sig[x]
+        for y in range(k + 1):
+            u = sx[y]
+            if u < 0 or u > k:
+                continue
+            t = sinv[u][x]
+            if t < 0 or t > k:
+                continue
+            if x != k and y != k and u != k and t != k:
+                continue
+            sy = sig[y]
+            su = sig[u]
+            st = sig[t]
+            for z in range(n):
+                a = sy[z]
+                b = st[z]
+                if a < 0 or b < 0:
+                    continue
+                left = sx[a]
+                right = su[b]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+    return True
+
+
+def involutive_rows(sig, sinv, n: int) -> list[tuple[int, ...]]:
+    """Every row sigma_k, k = len(sig), that keeps the row-product identity.
+
+    Builds the row one cell at a time, z = 0..n-1, over the values not yet
+    in it in ascending order, and drops a partial row as soon as
+    `row_products_hold` fails on it; the rows come out in lexicographic
+    order, the order of `all_perms(n)`.
+    """
+    k = len(sig)
+    for x in range(k):
+        for y in range(k):
+            u = sig[x][y]
+            if u < k and sinv[u][x] == k:
+                # sigma_x sigma_y = sigma_u sigma_k fixes the whole row
+                forced = tuple(sinv[u][sig[x][sig[y][z]]] for z in range(n))
+                ok = row_products_hold([*sig, forced], [*sinv, invert(forced)], k, n)
+                return [forced] if ok else []
+    row = [-1] * n
+    row_inv = [-1] * n
+    rows = [*sig, row]
+    invs = [*sinv, row_inv]
+    out: list[tuple[int, ...]] = []
+
+    def cells(z: int) -> None:
+        if z == n:
+            out.append(tuple(row))
+            return
+        for v in range(n):
+            if row_inv[v] < 0:
+                row[z] = v
+                row_inv[v] = z
+                if row_products_hold(rows, invs, k, n):
+                    cells(z + 1)
+                row_inv[v] = -1
+        row[z] = -1
+
+    cells(0)
+    return out
+
+
+def involutive_leaf(n: int, sig, sinv) -> solutions.Solution | None:
+    """The involutive candidate on these sigma rows, if it is a solution.
+
+    The rows keep the row-product identity on every pair, so they form a
+    finite cycle set, which is non-degenerate (Rump, Adv. Math. 193 (2005)):
+    its tau rows are bijections.  `diagnose` still checks the whole candidate.
+    """
+    sigma = tuple(sig)
+    tau = tuple(tuple(sinv[sigma[x][y]][x] for x in range(n)) for y in range(n))
+    if solutions.diagnose(n, sigma, tau) is not None:
+        return None
+    return solutions.Solution(n, sigma, tau)
+
+
 def row_generator_nodes(n: int, sig: list, sinv: list, depth: int):
     """The node sig and the nodes up to `depth` levels below it, as
     (rows, inverse rows); no cuts, and the lists are reused as the walk goes on."""
     yield sig, sinv
     if depth > 0 and len(sig) < n:
-        for row in enumeration._involutive_rows(sig, sinv, n):
+        for row in involutive_rows(sig, sinv, n):
             sig.append(row)
             sinv.append(invert(row))
             yield from row_generator_nodes(n, sig, sinv, depth - 1)
@@ -214,7 +308,7 @@ def _valid_leaves(n: int, sig: list, sinv: list):
     """Every valid leaf the row generator reaches below sig."""
     for rows, inverses in row_generator_nodes(n, sig, sinv, n):
         if len(rows) == n:
-            leaf = enumeration._involutive_leaf(n, rows, inverses)
+            leaf = involutive_leaf(n, rows, inverses)
             if leaf is not None:
                 yield leaf
 
@@ -228,7 +322,7 @@ def unpruned_involutive_search(n: int, prefix) -> set[bytes]:
     perms = all_perms(n)
     sig = [perms[r] for r in prefix]
     sinv = [invert(p) for p in sig]
-    if not all(enumeration._row_products_hold(sig, sinv, k, n) for k in range(len(sig))):
+    if not all(row_products_hold(sig, sinv, k, n) for k in range(len(sig))):
         return set()
     return {solutions.canonical_form(leaf) for leaf in _valid_leaves(n, sig, sinv)}
 
@@ -340,13 +434,17 @@ def smaller_relabeling_brute(tables) -> bool:
     return False
 
 
-def labeled_involutive_count(n):
+def labeled_involutive_solutions(n):
     """Labeled involutive solutions of size n, by the row generator alone.
 
     No symmetry cuts and no canonical forms: every row the generator yields
-    is followed, from an empty prefix, and every valid leaf counts.
+    is followed, from an empty prefix, and every valid leaf is one.
     """
-    return sum(1 for _ in _valid_leaves(n, [], []))
+    return _valid_leaves(n, [], [])
+
+
+def labeled_involutive_count(n):
+    return sum(1 for _ in labeled_involutive_solutions(n))
 
 
 def orbit_sum(classes):

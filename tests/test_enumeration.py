@@ -1,20 +1,25 @@
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing
 import time
-from itertools import chain
+from itertools import chain, combinations, product
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from oracles import (
     brute_force_braces,
     brute_force_solutions,
+    involutive_leaf,
     involutive_row_ok,
+    involutive_rows,
     labeled_braces_on_group,
     labeled_involutive_count,
+    labeled_involutive_solutions,
     labeled_solutions,
     orbit_sum,
     row_generator_nodes,
+    row_products_hold,
     smaller_relabeling_brute,
     sym_tables,
     unpruned_all_search,
@@ -34,6 +39,7 @@ from yangbaxter.enumeration import (
 from yangbaxter.perms import (
     all_perms,
     has_smaller_relabeling,
+    invert,
     relabel_table,
     table_isomorphisms,
 )
@@ -52,6 +58,19 @@ def test_involutive_counts_small():
     assert run(2, "involutive").total == 2
     assert run(3, "involutive").total == 5
     assert run(4, "involutive").total == 23
+
+
+# SHA-256 of the sorted canonical forms of the involutive classes of size 6,
+# the same with jobs 1 and 2, and the same as the search before cell
+# propagation gave
+INVOLUTIVE_6_DIGEST = "c6a1d1efbf7e092d04888881fbececb17b09b336dbc9dd83e6dda8faa4fb5d89"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_involutive_size_6(jobs):
+    result = run(6, "involutive", jobs=jobs)
+    assert result.total == 595
+    assert hashlib.sha256(b"".join(sorted(result.canonicals))).hexdigest() == INVOLUTIVE_6_DIGEST
 
 
 def test_all_mode_counts_small():
@@ -114,7 +133,7 @@ def test_oracle_equivalence(n):
 
 
 # ---------------------------------------------------------------------------
-# the involutive row generator
+# the oracle row generator: the involutive search before cell propagation
 
 
 def _filtered_rows(rows, n):
@@ -132,7 +151,7 @@ def _assert_generator_matches_filter(rows, n, depth):
     perms, index, _, inv = sym_tables(n)
     sig = [perms[r] for r in rows]
     sinv = [perms[inv[r]] for r in rows]
-    generated = enumeration._involutive_rows(sig, sinv, n)
+    generated = involutive_rows(sig, sinv, n)
     assert generated == _filtered_rows(rows, n), (n, rows)
     if depth > 0 and len(rows) + 1 < n:
         for row in generated:
@@ -156,12 +175,70 @@ def test_row_generator_matches_row_filter_below_size5_subtrees():
             for k in range(len(prefix))
         ]
         assert checks == [
-            enumeration._row_products_hold(sig, sinv, k, 5) for k in range(len(prefix))
+            row_products_hold(sig, sinv, k, 5) for k in range(len(prefix))
         ], prefix
         if all(checks):
             _assert_generator_matches_filter(list(prefix), 5, depth=1)
             nodes += 1
     assert nodes == 475
+
+
+# ---------------------------------------------------------------------------
+# the triple rule: the cycle-set identity on L[x][y] = sigma_x^-1(y)
+
+
+def _cycle_set_identity_holds(sigma) -> bool:
+    """(x.y).(x.z) = (y.x).(y.z) for all x, y, z, with x.y = sigma_x^-1(y)."""
+    L = [invert(row) for row in sigma]
+    return all(
+        L[L[x][y]][L[x][z]] == L[L[y][x]][L[y][z]]
+        for x, y, z in product(range(len(sigma)), repeat=3)
+    )
+
+
+def _triple_rule_verdicts(tables, monkeypatch) -> list[bool]:
+    """Whether `diagnose` accepts each sigma table's involutive candidate,
+    after checking that exactly then the cycle-set identity holds and the
+    search, given the whole table as its prefix, reaches the leaf."""
+    tables = list(tables)
+    verdicts = [
+        involutive_leaf(len(sigma), sigma, [invert(row) for row in sigma]) is not None
+        for sigma in tables
+    ]
+    reached = []
+    monkeypatch.setattr(solutions, "diagnose", lambda n, sigma, tau: reached.append(sigma))
+    for sigma, accepted in zip(tables, verdicts):
+        n = len(sigma)
+        index = {p: i for i, p in enumerate(all_perms(n))}
+        assert _cycle_set_identity_holds(sigma) == accepted, sigma
+        reached.clear()
+        enumeration._search_involutive(
+            n, tuple(index[row] for row in sigma), enumeration._Deadline(None)
+        )
+        assert reached == ([sigma] if accepted else []), sigma
+    return verdicts
+
+
+@pytest.mark.parametrize("n, labeled", [(1, 1), (2, 2), (3, 12)])
+def test_triple_rule_is_diagnose_on_every_sigma_table(n, labeled, monkeypatch):
+    tables = product(all_perms(n), repeat=n)
+    assert sum(_triple_rule_verdicts(tables, monkeypatch)) == labeled
+
+
+def test_triple_rule_is_diagnose_on_size4_solutions_and_their_row_swaps(monkeypatch):
+    # the 168 labeled solutions, and every table that swaps two cells of one
+    # of their rows: 168 * 4 * 6 near misses
+    solved = [s.sigma for s in labeled_involutive_solutions(4)]
+    swapped = []
+    for sigma in solved:
+        for x in range(4):
+            for i, j in combinations(range(4), 2):
+                row = list(sigma[x])
+                row[i], row[j] = row[j], row[i]
+                swapped.append(sigma[:x] + (tuple(row),) + sigma[x + 1 :])
+    verdicts = _triple_rule_verdicts(solved + swapped, monkeypatch)
+    assert verdicts[:168] == [True] * 168
+    assert len(verdicts) == 168 * 25
 
 
 @pytest.mark.parametrize("n, labeled", [(1, 1), (2, 2), (3, 12), (4, 168)])
@@ -409,18 +486,35 @@ def test_damaged_checkpoint_is_rejected(tmp_path, fault):
 
 
 def test_time_budget_yields_partial_result_error(tmp_path):
-    from yangbaxter.enumeration import subtree_tasks
-
+    # size 6 takes 1-2 s, and its first subtree, (0, 0), about a sixth of
+    # that: a budget of three times that subtree's own time lets it finish
+    # but not the run, on a slow host as on a fast one
+    start = time.monotonic()
+    enumeration._search_involutive(6, (0, 0), enumeration._Deadline(None))
+    budget = 3 * (time.monotonic() - start)
     with pytest.raises(PartialResultError) as exc:
         enumerate_solutions(
             EnumerationTask(
-                size=5, mode="involutive", time_budget=0.05,
-                checkpoint_dir=tmp_path, cap=6,
+                size=6, mode="involutive", time_budget=budget, checkpoint_dir=tmp_path,
             )
         )
-    assert exc.value.total_tasks == len(subtree_tasks(5))
+    total = len(enumeration.subtree_tasks(6))
+    assert exc.value.total_tasks == total
+    assert 0 < len(exc.value.completed_tasks) < total
     # completed subtrees are persisted for resume
     assert len(list(tmp_path.glob("*.json"))) == len(exc.value.completed_tasks)
+
+
+def test_past_deadline_stops_a_subtree_at_its_4096th_cell_assignment():
+    # the clock is read every 4096 cell assignments, not every 4096 sigma-row
+    # nodes, and subtree (0, 0) of size 6 makes more assignments than that
+    ahead = enumeration._Deadline(time.monotonic() + 3600)
+    enumeration._search_involutive(6, (0, 0), ahead)
+    assert ahead.ticks > 4096
+    past = enumeration._Deadline(time.monotonic() - 1)
+    with pytest.raises(enumeration.TimeBudgetExceeded):
+        enumeration._search_involutive(6, (0, 0), past)
+    assert past.ticks == 4096
 
 
 def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):

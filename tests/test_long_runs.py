@@ -21,22 +21,28 @@ pytestmark = pytest.mark.skipif(
 )
 
 # recorded reference counts for the opt-in sizes
-INVOLUTIVE_REFERENCE = {6: 595, 7: 3456}
+INVOLUTIVE_REFERENCE = {7: 3456}
+# SHA-256 of the sorted canonical forms of the involutive classes of size 7,
+# the same with jobs 1 and 2
+INVOLUTIVE_7_DIGEST = "bfe466ea0f7f4db78d6f15353140b880b47c4df8aab14b6b8798305e1798850f"
 # SHA-256 of the sorted canonical forms of all mode at size 5, the same with
 # jobs 1 and 2
 ALL_5_DIGEST = "01e4699efe65d52adce846bc5317aba38133278b5fbcf79d80d1f6eae48107cf"
 
 
-def test_involutive_size_6(tmp_path):
+def test_involutive_size_7(tmp_path):
+    # about a minute with 2 jobs
     result = enumerate_solutions(
         EnumerationTask(
-            size=6,
+            size=7,
             mode="involutive",
+            cap=7,
             jobs=os.cpu_count() or 2,
             checkpoint_dir=os.environ.get("YBX_CHECKPOINT_DIR", tmp_path),
         )
     )
-    assert result.total == INVOLUTIVE_REFERENCE[6]
+    assert result.total == INVOLUTIVE_REFERENCE[7]
+    assert hashlib.sha256(b"".join(sorted(result.canonicals))).hexdigest() == INVOLUTIVE_7_DIGEST
 
 
 def test_all_mode_size_5(tmp_path):

@@ -65,6 +65,12 @@ def test_all_perms_lex_order_identity_first():
     assert ps == sorted(ps)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nth_perm_indexes_all_perms(n):
+    ps = perms.all_perms(n)
+    assert [perms.nth_perm(n, r) for r in range(len(ps))] == ps
+
+
 def test_relabel_table_moves_entries_along_f():
     table = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     f = (1, 2, 0)
