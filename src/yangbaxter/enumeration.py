@@ -1,34 +1,28 @@
 """Isomorph-free exhaustive enumeration of solutions and of skew braces.
 
-The solution search backtracks over the rows of the sigma family (and, in
-`all` mode, the tau family), pruning with partial braid consequences:
+A solution is enumerated through its derived rack: J(x, y) = (x, sigma_x(y))
+carries r to (x, u) -> (u, x <| u), and r is fixed by the rack <| and its
+sigma rows, which are automorphisms of the rack under one twisted row
+identity (see `_search`).  The trivial rack gives exactly the involutive
+solutions, where the identity is the cycle-set identity.  `racks(n)` lists
+the least table of each rack class, and one search, `_search`, fills the
+sigma cells one at a time on a given rack, propagating each cell set
+through the identity and the automorphism rule, which force further cells
+or fail the node.
 
-  * row products: sigma_{sigma_x(y)} o sigma_{tau_y(x)} = sigma_x o sigma_y.
-    In involutive mode, where tau_y(x) = sigma_u^-1(x) with u = sigma_x(y),
-    it is the cycle-set identity on the table L[x][y] = sigma_x^-1(y): the
-    sigma cells are set one at a time, and each cell set is propagated
-    through the identity's triples, which force further cells of L or fail
-    the node;
-  * in `all` mode the identity makes the row sigma_{tau_y(x)} equal to
-    sigma_u^-1 sigma_x sigma_y: during the sigma phase these required rows
-    must fit into the rows still to be placed (a pigeonhole bound), and
-    they pin each value tau_y(x) to the rows carrying them, which yields
-    cell domains for the tau rows;
-  * partial injectivity of the pair map;
-  * the remaining braid components on resolved triples.
-
-One symmetry rule (lex-leader, as in orderly generation) serves both
-searches: a node whose k sigma rows some relabeling of {0..k-1} onto itself
-makes strictly smaller is cut, and the same test at k = 1 and k = 2 picks
-the subtree keys, the first two sigma rows.  In `all` mode the rule goes on
-below a complete sigma table: a node whose sigma table and first k tau rows
-some relabeling of {0..k-1} onto itself makes strictly smaller is cut.  The
-canonical member of a class is never cut, since its serialization starts
-with these rows.  So in both modes a leaf that survives is that member; it
-is validated in full and emitted as its own serialization, and each class
-reaches exactly one leaf.  The workers take the subtrees one at a time from
-a shared counter, checkpointing each as it finishes; merged output is a
-sorted canonical list, identical for any parallelism degree.
+One symmetry rule (lex-leader, as in orderly generation) serves the search
+and the rack list: a node whose complete tables and first k rows some
+relabeling of {0..k-1} onto itself makes strictly smaller is cut.  On a
+rack, the tables are the rack and the sigma rows, so the relabelings that
+count are the rack's automorphisms; on the trivial rack every relabeling
+is an automorphism, and the cut runs on the sigma rows alone.  The same test at k = 1
+and k = 2 picks the subtree keys of involutive mode, the first two sigma
+rows; in `all` mode each rack is one task.  The least member of a class is
+never cut, so each class reaches exactly one leaf, which is validated in
+full: on the trivial rack it is emitted as its own serialization, on
+another rack as its canonical form.  The workers take the tasks one at a
+time from a shared counter, checkpointing each as it finishes; merged
+output is a sorted canonical list, identical for any parallelism degree.
 """
 
 from __future__ import annotations
@@ -44,12 +38,12 @@ from pathlib import Path
 from . import braces as braces_mod
 from . import groups, solutions
 from .braces import SkewBrace
-from .perms import all_perms, compose, has_smaller_relabeling, invert, nth_perm
+from .perms import Perm, all_perms, compose, has_smaller_relabeling, invert, nth_perm
 from .perms import relabel_table, tables_from_bytes
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class EnumerationCapError(ValueError):
@@ -129,14 +123,16 @@ class EnumerationResult:
 
 
 def subtree_tasks(n: int) -> list[tuple[int, ...]]:
-    """Independent search subtrees: (row0, row1) index pairs into `all_perms(n)`.
+    """Independent subtrees of the involutive search: (row0, row1) index
+    pairs into `all_perms(n)`.
 
     A pair is kept when no relabeling fixing 0 makes row 0 smaller and none
     mapping {0, 1} onto itself makes rows 0, 1 smaller: the lex-leader rule
-    of the searches at k = 1 and k = 2.  The canonical member of every class
-    passes both, since its serialization starts with these rows.  Size 1 has
-    a single task.  The identifiers double as checkpoint keys, so a given
-    (size, mode) run always produces the same task list in the same order.
+    of the search on the trivial rack at k = 1 and k = 2.  The canonical
+    member of every involutive class passes both, since its serialization
+    starts with these rows.  Size 1 has a single task.  The identifiers
+    double as checkpoint keys, so a given size always produces the same
+    task list in the same order.
     """
     if n == 1:
         return [(0,)]
@@ -152,8 +148,7 @@ def subtree_tasks(n: int) -> list[tuple[int, ...]]:
 
 class _Deadline:
     """Raises TimeBudgetExceeded once the clock, read every 4096 ticks, is
-    past `at`.  The involutive search ticks once per cell it sets, the
-    all-mode search once per node."""
+    past `at`.  The search ticks once per cell it propagates."""
 
     __slots__ = ("at", "ticks")
 
@@ -170,41 +165,116 @@ class _Deadline:
 
 
 # ---------------------------------------------------------------------------
-# Involutive search: sigma cells, propagated on the cycle-set table
+# Racks, and sigma cells propagated on a rack
 
 
-def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
-    """Canonical forms of the classes whose canonical member lies below prefix.
+def racks(n: int) -> list[tuple[Perm, ...]]:
+    """The least table of each rack class of size n, the trivial rack first.
 
-    An involutive solution is fixed by its sigma rows: tau_y(x) =
-    sigma_u^-1(x) with u = sigma_x(y).  Written in the cycle-set table
-    L[x][y] = x.y = sigma_x^-1(y), the row-product identity
-    sigma_x o sigma_y = sigma_u o sigma_{tau_y(x)} on all pairs is the
-    cycle-set identity (x.y).(x.z) = (y.x).(y.z) on all triples, every row
-    of L being a permutation (Rump, Adv. Math. 193 (2005)).  A finite cycle
-    set is non-degenerate, so its tau rows are bijections.
+    A rack is an operation x <| y on the points whose right translations
+    R_y(x) = x <| y are permutations, with (x <| y) <| z = (x <| z) <| (y <| z),
+    that is R_z R_y R_z^-1 = R_{R_z(y)}.  The table is C[y] = R_y, so
+    C[y][x] = x <| y.  Its rows are placed in order, each checked against
+    the rows placed before it; a row that the placed ones force is the only
+    one tried, and the lex-leader cut of the solution search prunes the
+    node.  A table that survives at k = n is its own `least_relabeling`, and
+    the least table of a class is never cut.  The counts are 1, 2, 6, 19, 74
+    and 353 for n = 1..6 (OEIS A181771).
+    """
+    perms = all_perms(n)
+    found: list[tuple[Perm, ...]] = []
+    rows: list[Perm] = []
+
+    def fits(k: int) -> bool:
+        """R_z R_y = R_w R_z with w = R_z(y), on the y, z, w <= k that involve k."""
+        for z in range(k + 1):
+            Rz = rows[z]
+            for y in range(k + 1):
+                w = Rz[y]
+                if w <= k and k in (y, z, w):
+                    Ry, Rw = rows[y], rows[w]
+                    if any(Rz[Ry[x]] != Rw[Rz[x]] for x in range(n)):
+                        return False
+        return True
+
+    def dfs(k: int) -> None:
+        if k and has_smaller_relabeling((rows,)):
+            return
+        if k == n:
+            found.append(tuple(rows))
+            return
+        # R_k = R_z R_y R_z^-1 if a placed R_z carries a placed y to k
+        forced = {
+            tuple(Rz[rows[y][x]] for x in invert(Rz))
+            for Rz in rows for y in range(k) if Rz[y] == k
+        }
+        if len(forced) > 1:
+            return
+        for p in forced or perms:
+            rows.append(p)
+            if fits(k):
+                dfs(k + 1)
+            rows.pop()
+
+    dfs(0)
+    return found
+
+
+def _search(n: int, rack, prefix, deadline: _Deadline) -> set[bytes]:
+    """Canonical forms of the classes with derived rack `rack` whose least
+    (rack, sigma) member lies below prefix, a list of sigma row indices.
+
+    For r(x, y) = (sigma_x(y), tau_y(x)) let x <| u = sigma_u tau_y(x) with
+    y = sigma_x^-1(u).  Then J(x, y) = (x, sigma_x(y)) carries r to
+    (x, u) -> (u, x <| u), and r is a solution exactly when <| is a rack,
+    every sigma_x is an automorphism of <|, and sigma_x sigma_y =
+    sigma_u sigma_t for all x, y, where u = sigma_x(y) and
+    t = sigma_u^-1(x <| u); then tau_y(x) = t.  <| is trivial exactly when
+    r is involutive, and a relabeling carries one solution to another
+    exactly when it carries one (<|, sigma) pair to the other
+    (Soloviev, Math. Res. Lett. 7 (2000); Lebed-Vendramin, Proc. Edinb.
+    Math. Soc. 62 (2019); Akgun-Mereb-Vendramin, Math. Comp. 91 (2022),
+    enumerate through it).  `rack` is the table C[u][x] = x <| u.
+
+    With L[x][y] = sigma_x^-1(y) the row identity reads L[a][b] = L[c][d]
+    on every triple (x, u, z), where a = L[x][u], b = L[x][z],
+    c = L[u][x <| u] and d = L[u][z], and the automorphism rule reads
+    L[x][a <| b] = L[x][a] <| L[x][b].  On the trivial rack the identity is
+    the cycle-set identity (x.u).(x.z) = (u.x).(u.z) (Rump, Adv. Math. 193
+    (2005)), and the automorphism rule is empty.
 
     The search keeps the sigma table and L, with -1 in the unknown cells, and
     fills sigma row by row: cells z = 0..n-1, values in ascending order,
     skipping the cells already forced.  Setting sigma_k(z) = v sets
-    L[k][v] = z and propagates.  The triple (x, y, z) ties L[a][b] to
-    L[c][d] once a = L[x][y], b = L[x][z], c = L[y][x] and d = L[y][z] are
-    known: a known cell on one side sets the cell on the other, and a value
-    already in its row fails the node.  The triple (y, x, z) is (x, y, z)
-    with its sides swapped, so a set cell (p, q) is revisited in the
-    triples (p, q, .) and (p, ., q), where it is a, b, c or d, and in the
-    triples (x, sigma_x(p), sigma_x(q)), where it is L[a][b].
+    L[k][v] = z and propagates.  Once a, b, c and d are known, a known cell
+    on one side of the identity sets the cell on the other, and a value
+    already in its row fails the node; once L[x][a] and L[x][b] are known,
+    the automorphism rule sets L[x][a <| b].  A set cell (p, q) is revisited
+    in each triple where it is a (x = p, u = q), b (x = p, z = q), c
+    (u = p, x = R_p^-1(q)), d (u = p, z = q), L[a][b] (u = sigma_x(p),
+    z = sigma_x(q)) or L[c][d] (x = R_u^-1(sigma_u(p)), z = sigma_u(q)),
+    and where it is L[x][a] or L[x][b].  On the trivial rack (u, x, z) is
+    (x, u, z) with its sides swapped, so the c, d and L[c][d] positions
+    repeat the a, b and L[a][b] ones and are skipped.
 
     Orderly generation: a node whose k complete sigma rows some relabeling
-    of {0..k-1} onto itself makes strictly smaller has no canonical member
-    below it, since every completion is beaten by the same relabeling.  The
-    canonical member of a class is never cut: no relabeling lowers any
-    prefix of it, so its first two rows form a subtree key.  The key passed
-    the cut when it was picked, so the cut starts below it.  A leaf that
-    survives at k = n is that member, and since tau is fixed by sigma, its
-    own serialization is its canonical form.
+    of {0..k-1} onto itself, fixing the rack, makes strictly smaller has no
+    least member below it, since every completion is beaten by the same
+    relabeling; the rack is the least table of its class, so the cut on
+    (rack, rows) is that.  The least member of a class is never cut, so
+    each class reaches one leaf.  On the trivial rack every relabeling
+    fixes the rack and the cut runs on the rows alone; tau is fixed by
+    sigma there, so the leaf's own serialization is its canonical form.  On
+    another rack the leaf is canonicalized.  In involutive mode the prefix
+    is a subtree key, which passed the cut when it was picked, so the cut
+    starts below it.
     """
     found: set[bytes] = set()
+    identity = tuple(range(n))
+    trivial = all(row == identity for row in rack)
+    T = list(zip(*rack))  # T[x][u] = x <| u
+    # R_u^-1 as a table, read only by the rules off the trivial rack
+    Rinv = [] if trivial else [invert(row) for row in rack]
     sig = [[-1] * n for _ in range(n)]
     L = [[-1] * n for _ in range(n)]  # L[x][y] = sigma_x^-1(y)
     trail: list[tuple[int, int]] = []  # the cells of L set so far, in order
@@ -220,8 +290,16 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
         queue.append((p, q))
         return True
 
+    def tie(a: int, b: int, c: int, d: int) -> bool:
+        """Whether L[a][b] = L[c][d] holds, the unknown one set from the known."""
+        left = L[a][b]
+        right = L[c][d]
+        return left == right or (
+            put(a, b, right) if left < 0 else right < 0 and put(c, d, left)
+        )
+
     def assign(p: int, q: int, w: int) -> bool:
-        """Set L[p][q] = w, sigma_p(w) = q, and every cell the triples force."""
+        """Set L[p][q] = w, sigma_p(w) = q, and every cell the rules force."""
         queue.clear()
         if not put(p, q, w):
             return False
@@ -231,8 +309,10 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
             Lp = L[p]
             Lq = L[q]
             w = Lp[q]
-            # (p, q, z): a = w, b = L[p][z], c = L[q][p], d = L[q][z]
-            c = Lq[p]
+            # the trivial rack's own loops, inlined, since its search
+            # spends most of its time in them
+            # a: (p, q, z), b = L[p][z], c = L[q][p <| q], d = L[q][z]
+            c = Lq[T[p][q]]
             if c >= 0:
                 La = L[w]
                 Lc = L[c]
@@ -247,13 +327,14 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
                             else right < 0 and put(c, d, left)
                         ):
                             return False
-            # (p, y, q): a = L[p][y], b = w, c = L[y][p], d = L[y][q]
-            for y in range(n):
-                a = Lp[y]
+            # b: (p, u, q), a = L[p][u], c = L[u][p <| u], d = L[u][q]
+            Tp = T[p]
+            for u in range(n):
+                a = Lp[u]
                 if a >= 0:
-                    Ly = L[y]
-                    c = Ly[p]
-                    d = Ly[q]
+                    Lu = L[u]
+                    c = Lu[Tp[u]]
+                    d = Lu[q]
                     if c >= 0 and d >= 0:
                         left = L[a][w]
                         right = L[c][d]
@@ -262,18 +343,62 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
                             else right < 0 and put(c, d, left)
                         ):
                             return False
-            # (x, sigma_x(p), sigma_x(q)): a = p, b = q, so L[a][b] = w
+            # L[a][b]: (x, sigma_x(p), sigma_x(q)), so that a = p and b = q
             for x in range(n):
                 sx = sig[x]
-                y = sx[p]
+                u = sx[p]
                 z = sx[q]
-                if y >= 0 and z >= 0:
-                    Ly = L[y]
-                    c = Ly[x]
-                    d = Ly[z]
+                if u >= 0 and z >= 0:
+                    Lu = L[u]
+                    c = Lu[T[x][u]]
+                    d = Lu[z]
                     if c >= 0 and d >= 0:
                         right = L[c][d]
                         if right != w and not (right < 0 and put(c, d, w)):
+                            return False
+            if trivial:
+                continue
+            # c: (R_p^-1(q), p, z), a = L[x][p], b = L[x][z], d = L[p][z]
+            Lx = L[Rinv[p][q]]
+            a = Lx[p]
+            if a >= 0:
+                for z in range(n):
+                    b = Lx[z]
+                    d = Lp[z]
+                    if b >= 0 and d >= 0 and not tie(a, b, w, d):
+                        return False
+            # d: (x, p, q), a = L[x][p], b = L[x][q], c = L[p][x <| p]
+            for x in range(n):
+                Lx = L[x]
+                a = Lx[p]
+                b = Lx[q]
+                if a >= 0 and b >= 0:
+                    c = Lp[T[x][p]]
+                    if c >= 0 and not tie(a, b, c, w):
+                        return False
+            # L[c][d]: (R_u^-1(sigma_u(p)), u, sigma_u(q)), so that c = p and d = q
+            for u in range(n):
+                su = sig[u]
+                v = su[p]
+                z = su[q]
+                if v >= 0 and z >= 0:
+                    Lx = L[Rinv[u][v]]
+                    a = Lx[u]
+                    b = Lx[z]
+                    if a >= 0 and b >= 0 and not tie(a, b, p, q):
+                        return False
+            # L[x][a] and L[x][b] with x = p: L[p][q <| b] = w <| L[p][b] and
+            # L[p][a <| q] = L[p][a] <| w
+            Tq = T[q]
+            Tw = T[w]
+            Cq = rack[q]
+            Cw = rack[w]
+            for y in range(n):
+                v = Lp[y]
+                if v >= 0:
+                    for cell, value in ((Tq[y], Tw[v]), (Cq[y], Cw[v])):
+                        known = Lp[cell]
+                        if known != value and not (known < 0 and put(p, cell, value)):
                             return False
         return True
 
@@ -284,6 +409,7 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
             L[p][q] = -1
 
     rows = [nth_perm(n, r) for r in prefix]  # the complete sigma rows, for the cut
+    tables = (rows,) if trivial else (rack, rows)
     # the key's cells, each one that is forced already checked against it
     for x, row in enumerate(rows):
         for z, v in enumerate(row):
@@ -291,13 +417,19 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
                 return found
 
     def dfs(k: int) -> None:
-        if k > len(prefix) and has_smaller_relabeling((rows,)):
+        if k > len(prefix) and has_smaller_relabeling(tables):
             return
         if k == n:
             sigma = tuple(rows)
-            tau = tuple(tuple(L[sigma[x][y]][x] for x in range(n)) for y in range(n))
+            tau = tuple(
+                tuple(L[u][rack[u][x]] for x, u in enumerate(col))
+                for col in zip(*sigma)
+            )
             if solutions.diagnose(n, sigma, tau) is None:
-                found.add(bytes(chain.from_iterable(sigma + tau)))
+                found.add(
+                    bytes(chain.from_iterable(sigma + tau)) if trivial
+                    else solutions.canonical_form(Solution(n, sigma, tau))
+                )
             return
         cells(k, 0)
 
@@ -324,172 +456,15 @@ def _search_involutive(n: int, prefix, deadline: _Deadline) -> set[bytes]:
 
 
 # ---------------------------------------------------------------------------
-# General search: sigma phase, then tau rows over forced cell domains
-
-
-def _required_row(sig, sinv, x: int, y: int) -> tuple[int, ...]:
-    """sigma_u^-1 sigma_x sigma_y with u = sigma_x(y): by the row-product
-    identity, the row sigma_{tau_y(x)} equals it."""
-    sx = sig[x]
-    su_inv = sinv[sx[y]]
-    return tuple([su_inv[sx[v]] for v in sig[y]])
-
-
-def _new_required_rows(sig, sinv, k: int) -> set[tuple[int, ...]]:
-    """The required rows of the pairs x, y <= k with u = sigma_x(y) <= k in
-    which one of x, y, u is k; the pairs within rows below k came earlier."""
-    sk = sig[k]
-    pairs = [(k, y) for y in range(k + 1) if sk[y] <= k]
-    for x in range(k):
-        if sig[x][k] <= k:
-            pairs.append((x, k))
-        y = sinv[x][k]
-        if y < k:
-            pairs.append((x, y))
-    return {_required_row(sig, sinv, x, y) for x, y in pairs}
-
-
-def _tau_domains(sig, sinv, n: int):
-    """Cell domains D[y][x]: candidate values for tau_y(x), or None if one is empty."""
-    by_row: dict[tuple[int, ...], list[int]] = {}
-    for t, row in enumerate(sig):
-        by_row.setdefault(row, []).append(t)
-    domains = []
-    for y in range(n):
-        drow = []
-        for x in range(n):
-            opts = by_row.get(_required_row(sig, sinv, x, y))
-            if not opts:
-                return None
-            drow.append(opts)
-        domains.append(drow)
-    return domains
-
-
-def _tau_rows_ok(trows, k: int, n: int, sig) -> bool:
-    # braid component 3: tau_{tau_z(y)} o tau_{sigma_y(z)} = tau_z o tau_y
-    for y in range(k + 1):
-        for z in range(k + 1):
-            a = trows[z][y]
-            if a > k:
-                continue
-            b = sig[y][z]
-            if b > k:
-                continue
-            if y != k and z != k and a != k and b != k:
-                continue
-            ta, tz = trows[a], trows[z]
-            if [ta[v] for v in trows[b]] != [tz[v] for v in trows[y]]:
-                return False
-    # braid component 2 on resolved triples
-    for y in range(k + 1):
-        tr_y = trows[y]
-        for x in range(n):
-            sig_t = sig[tr_y[x]]
-            for z in range(k + 1):
-                w = sig_t[z]
-                if w > k:
-                    continue
-                v = sig[y][z]
-                if v > k:
-                    continue
-                if y != k and z != k and w != k and v != k:
-                    continue
-                if trows[w][sig[x][y]] != sig[trows[v][x]][trows[z][y]]:
-                    return False
-    return True
-
-
-def _search_all(n: int, prefix, deadline: _Deadline) -> set[bytes]:
-    """Canonical forms of the classes whose canonical member lies below prefix.
-
-    The sigma rows, the prefix's first, are cut by the lex-leader rule of
-    the involutive search and by a pigeonhole bound: the rows required by
-    the row-product identity on the resolved pairs must fit into the rows
-    still to be placed.  A sigma table that passes the rule at k = n is the
-    least of its class, the canonical member's.  The tau rows are then built
-    cell by cell over the cell domains, each row and the pair map kept
-    injective, and the rule runs on (sigma, first k tau rows) at every tau
-    node with k >= 1.  A leaf that survives is the canonical member: it is
-    validated in full and emitted as its own serialization, as in
-    involutive mode.
-    """
-    perms = all_perms(n)
-    inverses = [invert(p) for p in perms]
-    found: set[bytes] = set()
-    sig: list[tuple[int, ...]] = []
-    sinv: list[tuple[int, ...]] = []
-
-    def tau_phase() -> None:
-        domains = _tau_domains(sig, sinv, n)
-        if domains is None:
-            return
-        sigma = tuple(sig)
-        trows: list[tuple[int, ...]] = []
-        pairs = [False] * (n * n)  # pair codes sigma_x(y) * n + tau_y(x) taken
-
-        def dfs_tau(k: int) -> None:
-            deadline.tick()
-            if k and has_smaller_relabeling((sigma, trows)):
-                return
-            if k == n:
-                tau = tuple(trows)
-                if solutions.diagnose(n, sigma, tau) is None:
-                    found.add(bytes(chain.from_iterable(sigma + tau)))
-                return
-            cells(k, 0, [0] * n, [False] * n)
-
-        def cells(k: int, x: int, row: list[int], used: list[bool]) -> None:
-            """Fill tau_k(x), tau_k(x+1), ... from the cell domains, keeping the
-            row and the pair map injective."""
-            if x == n:
-                trows.append(tuple(row))
-                if _tau_rows_ok(trows, k, n, sigma):
-                    dfs_tau(k + 1)
-                trows.pop()
-                return
-            base = sigma[x][k] * n
-            for t in domains[k][x]:
-                if not used[t] and not pairs[base + t]:
-                    used[t] = pairs[base + t] = True
-                    row[x] = t
-                    cells(k, x + 1, row, used)
-                    used[t] = pairs[base + t] = False
-
-        dfs_tau(0)
-
-    def dfs_sigma(k: int, required: set) -> None:
-        deadline.tick()
-        if k > len(prefix) and has_smaller_relabeling((sig,)):
-            return
-        if k == n:
-            tau_phase()
-            return
-        for r in [prefix[k]] if k < len(prefix) else range(len(perms)):
-            sig.append(perms[r])
-            sinv.append(inverses[r])
-            grown = required | _new_required_rows(sig, sinv, k)
-            if len(grown.difference(sig)) <= n - 1 - k:
-                dfs_sigma(k + 1, grown)
-            sig.pop()
-            sinv.pop()
-
-    dfs_sigma(0, set())
-    return found
-
-
-# ---------------------------------------------------------------------------
 # Task orchestration
 
 
 def _run_subtree(args) -> list[bytes]:
-    n, mode, prefix, deadline_at = args
-    deadline = _Deadline(deadline_at)
-    if mode == "involutive":
-        found = _search_involutive(n, prefix, deadline)
-    else:
-        found = _search_all(n, prefix, deadline)
-    return sorted(found)
+    """An involutive task is a subtree key on the trivial rack; an all-mode
+    task is a whole rack, keyed by its index in `racks(n)`."""
+    n, mode, task_id, rack, deadline_at = args
+    prefix = task_id if mode == "involutive" else ()
+    return sorted(_search(n, rack, prefix, _Deadline(deadline_at)))
 
 
 def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, bool]:
@@ -506,7 +481,7 @@ def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, 
             next_index.value += 1
         if i >= len(args):
             return finished, False
-        n, mode, task_id, deadline_at = args[i]
+        n, mode, task_id, rack, deadline_at = args[i]
         try:
             if deadline_at is not None and time.monotonic() > deadline_at:
                 raise TimeBudgetExceeded
@@ -516,7 +491,7 @@ def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, 
             return finished, True
         if ckpt_dir is not None:
             path = _checkpoint_path(ckpt_dir, mode, n, task_id)
-            _store_checkpoint(path, mode, n, task_id, classes)
+            _store_checkpoint(path, mode, n, task_id, rack, classes)
         finished.append((task_id, classes))
 
 
@@ -542,12 +517,15 @@ def _checkpoint_path(directory: Path, mode: str, n: int, task_id) -> Path:
     return directory / f"{mode}-n{n}-task{suffix}.json"
 
 
-def _load_checkpoint(path: Path, mode: str, n: int, task_id) -> list[bytes] | None:
+def _load_checkpoint(
+    path: Path, mode: str, n: int, task_id, rack
+) -> list[bytes] | None:
     """The stored classes of a subtree, or None if it has no checkpoint.
 
-    Each class must decode to a valid solution of size n (involutive in
-    involutive mode) and be its own canonical form; anything else raises
-    CheckpointMismatchError, so that a damaged file never joins the result.
+    The stored rack must be the task's, and each class must decode to a
+    valid solution of size n (involutive in involutive mode) and be its own
+    canonical form; anything else raises CheckpointMismatchError, so that a
+    damaged file never joins the result.
     """
     if not path.exists():
         return None
@@ -561,6 +539,7 @@ def _load_checkpoint(path: Path, mode: str, n: int, task_id) -> list[bytes] | No
         or data.get("mode") != mode
         or data.get("size") != n
         or data.get("task") != list(task_id)
+        or data.get("rack") != [list(row) for row in rack]
     ):
         raise CheckpointMismatchError(
             f"checkpoint {path} does not match this run "
@@ -589,13 +568,14 @@ def _load_checkpoint(path: Path, mode: str, n: int, task_id) -> list[bytes] | No
 
 
 def _store_checkpoint(
-    path: Path, mode: str, n: int, task_id, classes: list[bytes]
+    path: Path, mode: str, n: int, task_id, rack, classes: list[bytes]
 ) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
         "mode": mode,
         "size": n,
         "task": list(task_id),
+        "rack": [list(row) for row in rack],
         "classes": [b.hex() for b in classes],
     }
     tmp = path.with_suffix(".tmp")
@@ -606,41 +586,47 @@ def _store_checkpoint(
 def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
     """One canonical representative per isomorphism class at the given size.
 
-    Identical output for any `jobs` value: subtree results are merged into a
+    Identical output for any `jobs` value: task results are merged into a
     sorted set of canonical forms.  With a checkpoint directory, finished
-    subtrees are persisted and reused on resume.
+    tasks are persisted and reused on resume.
     """
     task.validate()
-    n = task.size
-    subtree_ids = subtree_tasks(n)
-    n_tasks = len(subtree_ids)
+    # the budget covers listing the tasks too, which takes a minute at
+    # involutive n=8
     deadline_at = (
         time.monotonic() + task.time_budget if task.time_budget is not None else None
     )
+    n = task.size
+    if task.mode == "involutive":
+        trivial = (tuple(range(n)),) * n
+        tasks = [(key, trivial) for key in subtree_tasks(n)]
+    else:
+        tasks = [((i,), rack) for i, rack in enumerate(racks(n))]
+    n_tasks = len(tasks)
 
     ckpt_dir: Path | None = None
     if task.checkpoint_dir is not None:
         ckpt_dir = Path(task.checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    pending: list[tuple[int, ...]] = []
+    args: list[tuple] = []  # the pending tasks
     merged: set[bytes] = set()
     completed: list[tuple[int, ...]] = []
-    for task_id in subtree_ids:
+    for task_id, rack in tasks:
         if ckpt_dir is not None:
             stored = _load_checkpoint(
-                _checkpoint_path(ckpt_dir, task.mode, n, task_id), task.mode, n, task_id
+                _checkpoint_path(ckpt_dir, task.mode, n, task_id),
+                task.mode, n, task_id, rack,
             )
             if stored is not None:
                 merged.update(stored)
                 completed.append(task_id)
                 continue
-        pending.append(task_id)
+        args.append((n, task.mode, task_id, rack, deadline_at))
 
     # the workers take subtrees one at a time from a shared counter, so a
     # heavy subtree never holds up others queued behind it, and the pool
     # gets one future per worker rather than one per subtree
-    args = [(n, task.mode, task_id, deadline_at) for task_id in pending]
     next_index = multiprocessing.Value("i", 0)
     workers = min(task.jobs, len(args))
     try:

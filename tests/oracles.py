@@ -8,8 +8,11 @@ identity cell by cell: it builds each sigma row cell by cell and checks the
 row-product identity (`row_products_hold`) on the rows placed so far.
 `involutive_row_ok` is the whole-row filter it replaced, on the index tables
 of Sym(n) from `sym_tables`.  `unpruned_involutive_search` (on the row
-generator) and `unpruned_all_search` (on those index tables) are the two
-searches without the lex-leader prune: they canonicalize every leaf.
+generator) and `unpruned_all_search` (on those index tables; sigma rows
+under a pigeonhole bound, then tau rows over forced cell domains, without
+the derived rack) are the two searches without the lex-leader prune: they
+canonicalize every leaf.  `labeled_racks` lists every rack table, and
+`derived_rack` reads a solution's rack off its tables.
 `smaller_relabeling_brute` tries every relabeling the prune may use.  The
 counting helpers and `orbit_sum` give the two sides of the orbit-counting
 identity: the number of labeled solutions equals the sum of n!/|Aut(s)| over
@@ -328,8 +331,9 @@ def unpruned_involutive_search(n: int, prefix) -> set[bytes]:
 
 
 def unpruned_all_search(n: int, prefix) -> set[bytes]:
-    """Canonical forms of every valid leaf the all-mode search reaches below a
-    subtree prefix, without the lex-leader prune, on index tables.
+    """Canonical forms of every valid leaf below a sigma subtree prefix, by
+    sigma rows and then tau rows, without the derived rack and without the
+    lex-leader prune, on index tables.
 
     A sigma node is kept while the rows sigma_u^-1 sigma_x sigma_y that the
     row-product identity requires (x, y, u = sigma_x(y) among the placed
@@ -411,6 +415,30 @@ def unpruned_all_search(n: int, prefix) -> set[bytes]:
     if all(sigma_ok(k) for k in range(len(srows))):
         dfs_sigma(len(srows))
     return found
+
+
+def labeled_racks(n: int):
+    """Every table C with C[y] a permutation of the points and
+    C[z][C[y][x]] = C[C[z][y]][C[z][x]], that is (x <| y) <| z =
+    (x <| z) <| (y <| z) with C[y][x] = x <| y, found by scanning all (n!)^n
+    tables; keep n <= 3."""
+    if n > 3:
+        raise ValueError("the brute-force rack oracle is meant for n <= 3")
+    for C in product(all_perms(n), repeat=n):
+        if all(
+            C[z][C[y][x]] == C[C[z][y]][C[z][x]]
+            for x, y, z in product(range(n), repeat=3)
+        ):
+            yield C
+
+
+def derived_rack(s: solutions.Solution):
+    """The table C[u][x] = x <| u = sigma_u tau_y(x) with y = sigma_x^-1(u)."""
+    n = s.size
+    return tuple(
+        tuple(s.sigma[u][s.tau[invert(s.sigma[x])[u]][x]] for x in range(n))
+        for u in range(n)
+    )
 
 
 def smaller_relabeling_brute(tables) -> bool:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import multiprocessing
 import time
 from itertools import chain, combinations, product
@@ -10,12 +11,14 @@ import pytest
 from oracles import (
     brute_force_braces,
     brute_force_solutions,
+    derived_rack,
     involutive_leaf,
     involutive_row_ok,
     involutive_rows,
     labeled_braces_on_group,
     labeled_involutive_count,
     labeled_involutive_solutions,
+    labeled_racks,
     labeled_solutions,
     orbit_sum,
     row_generator_nodes,
@@ -40,6 +43,7 @@ from yangbaxter.perms import (
     all_perms,
     has_smaller_relabeling,
     invert,
+    least_relabeling,
     relabel_table,
     table_isomorphisms,
 )
@@ -47,6 +51,21 @@ from yangbaxter.perms import (
 
 def run(n, mode, **kw):
     return enumerate_solutions(EnumerationTask(size=n, mode=mode, **kw))
+
+
+def trivial_rack(n):
+    return (tuple(range(n)),) * n
+
+
+def search(n, prefix, rack=None, deadline=None):
+    """The search below prefix on the trivial rack unless a rack is given."""
+    return enumeration._search(
+        n, rack or trivial_rack(n), prefix, deadline or enumeration._Deadline(None)
+    )
+
+
+def digest(blobs) -> str:
+    return hashlib.sha256(b"".join(sorted(blobs))).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +89,21 @@ INVOLUTIVE_6_DIGEST = "c6a1d1efbf7e092d04888881fbececb17b09b336dbc9dd83e6dda8faa
 def test_involutive_size_6(jobs):
     result = run(6, "involutive", jobs=jobs)
     assert result.total == 595
-    assert hashlib.sha256(b"".join(sorted(result.canonicals))).hexdigest() == INVOLUTIVE_6_DIGEST
+    assert digest(result.canonicals) == INVOLUTIVE_6_DIGEST
+
+
+# SHA-256 of the sorted canonical forms of all mode at size 5, the same with
+# jobs 1 and 2, and the same as the search by sigma rows and tau cells gave
+ALL_5_DIGEST = "01e4699efe65d52adce846bc5317aba38133278b5fbcf79d80d1f6eae48107cf"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_all_mode_size_5(jobs):
+    # the reference value 3519 counts the strictly non-involutive classes;
+    # with the 88 involutive ones the total is 3607
+    result = run(5, "all", cap=5, jobs=jobs)
+    assert result.counts() == {"involutive": 88, "non_involutive": 3519, "total": 3607}
+    assert digest(result.canonicals) == ALL_5_DIGEST
 
 
 def test_all_mode_counts_small():
@@ -212,9 +245,7 @@ def _triple_rule_verdicts(tables, monkeypatch) -> list[bool]:
         index = {p: i for i, p in enumerate(all_perms(n))}
         assert _cycle_set_identity_holds(sigma) == accepted, sigma
         reached.clear()
-        enumeration._search_involutive(
-            n, tuple(index[row] for row in sigma), enumeration._Deadline(None)
-        )
+        search(n, tuple(index[row] for row in sigma))
         assert reached == ([sigma] if accepted else []), sigma
     return verdicts
 
@@ -241,6 +272,59 @@ def test_triple_rule_is_diagnose_on_size4_solutions_and_their_row_swaps(monkeypa
     assert len(verdicts) == 168 * 25
 
 
+# ---------------------------------------------------------------------------
+# racks, and the rack rule: the row identity and automorphisms on a rack
+
+
+def _rack_automorphisms(C) -> int:
+    return sum(1 for g in all_perms(len(C)) if relabel_table(C, g) == C)
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 6), (4, 19), (5, 74)])
+def test_racks_are_the_least_table_of_each_class(n, classes):
+    found = enumeration.racks(n)
+    assert len(found) == classes
+    assert found[0] == trivial_rack(n)
+    for C in found:
+        assert least_relabeling((C,))[0] == bytes(chain.from_iterable(C)), C
+
+
+@pytest.mark.parametrize("n, labeled", [(1, 1), (2, 2), (3, 13)])
+def test_rack_count_is_the_orbit_sum(n, labeled):
+    assert sum(1 for _ in labeled_racks(n)) == labeled
+    assert sum(
+        math.factorial(n) // _rack_automorphisms(C) for C in enumeration.racks(n)
+    ) == labeled
+
+
+@pytest.mark.parametrize("n, labeled", [(1, 1), (2, 4), (3, 66)])
+def test_rack_rule_is_diagnose_on_every_rack_and_sigma_table(n, labeled, monkeypatch):
+    # every solution is one (rack, sigma) pair: tau_y(x) = sigma_u^-1(x <| u)
+    # with u = sigma_x(y); given sigma as its prefix, the search reaches the
+    # leaf exactly when diagnose accepts that (sigma, tau)
+    index = {p: i for i, p in enumerate(all_perms(n))}
+    reached = []
+    diagnose = solutions.diagnose
+    monkeypatch.setattr(
+        solutions, "diagnose", lambda n, sigma, tau: reached.append((sigma, tau))
+    )
+    accepted = 0
+    for C in labeled_racks(n):
+        for sigma in product(all_perms(n), repeat=n):
+            L = [invert(row) for row in sigma]
+            tau = tuple(
+                tuple(L[sigma[x][y]][C[sigma[x][y]][x]] for x in range(n))
+                for y in range(n)
+            )
+            valid = diagnose(n, sigma, tau) is None
+            reached.clear()
+            search(n, tuple(index[row] for row in sigma), rack=C)
+            assert reached == ([(sigma, tau)] if valid else []), (C, sigma)
+            accepted += valid
+    # labeled_solutions(n), as test_all_mode_labeled_count_is_the_orbit_sum pins
+    assert accepted == labeled
+
+
 @pytest.mark.parametrize("n, labeled", [(1, 1), (2, 2), (3, 12), (4, 168)])
 def test_labeled_count_is_the_orbit_sum(n, labeled, involutive_corpus):
     assert labeled_involutive_count(n) == labeled
@@ -264,8 +348,8 @@ def test_lex_leader_check_matches_brute_force_on_search_nodes(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_lex_leader_check_matches_brute_force_on_tau_nodes(n, monkeypatch):
-    # every (sigma, first k tau rows) the all-mode search asks about
+def test_lex_leader_check_matches_brute_force_on_rack_nodes(n, monkeypatch):
+    # every (rack, first k sigma rows) the all-mode search asks about
     asked = []
 
     def spy(tables):
@@ -273,10 +357,10 @@ def test_lex_leader_check_matches_brute_force_on_tau_nodes(n, monkeypatch):
             asked.append((tables[0], tuple(tables[1])))
         return has_smaller_relabeling(tables)
 
-    keys = enumeration.subtree_tasks(n)
+    found = enumeration.racks(n)
     monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
-    for prefix in keys:
-        enumeration._search_all(n, prefix, enumeration._Deadline(None))
+    for rack in found:
+        search(n, (), rack=rack)
     assert asked
     for tables in asked:
         assert has_smaller_relabeling(tables) == smaller_relabeling_brute(tables), tables
@@ -326,9 +410,7 @@ def test_canonical_members_lie_in_subtrees(involutive_corpus):
 def test_orderly_search_matches_unpruned_oracle_per_subtree(n):
     orderly, oracle = [], []
     for prefix in enumeration.subtree_tasks(n):
-        orderly.append(
-            enumeration._search_involutive(n, prefix, enumeration._Deadline(None))
-        )
+        orderly.append(search(n, prefix))
         oracle.append(unpruned_involutive_search(n, prefix))
         # a subtree emits only classes the unpruned search reaches in it
         assert orderly[-1] <= oracle[-1], prefix
@@ -343,24 +425,31 @@ def test_orderly_search_matches_unpruned_oracle_per_subtree(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orderly_all_search_matches_unpruned_oracle_per_subtree(n):
-    orderly, oracle = [], []
-    for prefix in enumeration.subtree_tasks(n):
-        orderly.append(enumeration._search_all(n, prefix, enumeration._Deadline(None)))
-        oracle.append(unpruned_all_search(n, prefix))
-        assert orderly[-1] <= oracle[-1], prefix
+    # the search on each rack against the search by sigma rows and tau cells
+    # without the prune, over the sigma subtree keys
+    found = enumeration.racks(n)
+    orderly = [search(n, (), rack=rack) for rack in found]
+    oracle = set().union(*(unpruned_all_search(n, key) for key in enumeration.subtree_tasks(n)))
     classes = set().union(*orderly)
-    assert classes == set().union(*oracle)
-    # the lex-leader check on the sigma rows and then on the tau rows leaves
-    # only canonical members, so a class is found in one subtree only ...
+    assert classes == oracle
+    # the least (rack, sigma) member of a class is the one leaf left, so a
+    # class comes from one rack only ...
     assert sum(map(len, orderly)) == len(classes)
-    # ... as its own serialization
-    for blob in classes:
-        assert solutions.canonical_form(solutions.solution_from_canonical(blob)) == blob
+    for rack, blobs in zip(found, orderly):
+        for blob in blobs:
+            sol = solutions.solution_from_canonical(blob)
+            # ... is emitted as its canonical form ...
+            assert solutions.canonical_form(sol) == blob
+            # ... and has that rack as its derived rack, up to relabeling
+            C = derived_rack(sol)
+            assert least_relabeling((C,))[0] == bytes(chain.from_iterable(rack))
+            assert sol.involutive == (rack == trivial_rack(n))
 
 
 def test_all_mode_reaches_each_class_at_one_leaf(monkeypatch):
-    # a surviving leaf is the canonical member, emitted as it stands: one
-    # diagnose per class and no canonical form
+    # a surviving leaf is the least (rack, sigma) member: one diagnose per
+    # class, and a canonical form for each class off the trivial rack, whose
+    # leaves are emitted as they stand
     calls = {"canonical": 0, "diagnose": 0}
     canonical, diagnose = solutions.canonical_form, solutions.diagnose
 
@@ -374,16 +463,16 @@ def test_all_mode_reaches_each_class_at_one_leaf(monkeypatch):
 
     monkeypatch.setattr(solutions, "canonical_form", counting_canonical)
     monkeypatch.setattr(solutions, "diagnose", counting_diagnose)
-    for n, classes in zip(range(1, 5), [1, 4, 26, 253]):
+    for n, classes, involutive in zip(range(1, 5), [1, 4, 26, 253], [1, 2, 5, 23]):
         calls.update(canonical=0, diagnose=0)
         assert run(n, "all").total == classes
-        assert calls == {"canonical": 0, "diagnose": classes}, n
+        assert calls == {"canonical": classes - involutive, "diagnose": classes}, n
 
 
-@pytest.mark.parametrize("mode, sizes", [("involutive", range(1, 6)), ("all", range(1, 5))])
+# all mode has no sigma key: its tasks are whole racks
+@pytest.mark.parametrize("mode, sizes", [("involutive", range(1, 6))])
 def test_searches_do_not_recheck_their_subtree_key(mode, sizes, monkeypatch):
     # subtree_tasks hands out only keys that passed the cut at k = 1 and 2
-    search = enumeration._search_involutive if mode == "involutive" else enumeration._search_all
     keys = {n: enumeration.subtree_tasks(n) for n in sizes}
     asked = set()
 
@@ -394,7 +483,7 @@ def test_searches_do_not_recheck_their_subtree_key(mode, sizes, monkeypatch):
     monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
     for n in sizes:
         for prefix in keys[n]:
-            search(n, prefix, enumeration._Deadline(None))
+            search(n, prefix)
     key_rows = {(tuple(all_perms(n)[r] for r in key),) for n in sizes for key in keys[n]}
     assert asked and not key_rows & asked
 
@@ -448,7 +537,8 @@ def test_checkpoint_mismatch_detected(tmp_path):
 
 def _damaged_checkpoint(fault):
     header = {
-        "version": enumeration.CHECKPOINT_VERSION, "mode": "involutive", "size": 3, "task": [0, 0],
+        "version": enumeration.CHECKPOINT_VERSION, "mode": "involutive", "size": 3,
+        "task": [0, 0], "rack": [list(row) for row in trivial_rack(3)],
     }
     if fault == "no classes":
         return header
@@ -485,12 +575,25 @@ def test_damaged_checkpoint_is_rejected(tmp_path, fault):
         run(3, "involutive", checkpoint_dir=tmp_path)
 
 
+def test_checkpoint_of_another_rack_is_rejected(tmp_path):
+    first = run(3, "all", checkpoint_dir=tmp_path)
+    assert run(3, "all", checkpoint_dir=tmp_path).canonicals == first.canonicals
+    # task (1,) is the second rack; a checkpoint that names the third is
+    # refused, though its classes are valid
+    path = enumeration._checkpoint_path(tmp_path, "all", 3, (1,))
+    data = json.loads(path.read_text())
+    data["rack"] = [list(row) for row in enumeration.racks(3)[2]]
+    path.write_text(json.dumps(data))
+    with pytest.raises(CheckpointMismatchError):
+        run(3, "all", checkpoint_dir=tmp_path)
+
+
 def test_time_budget_yields_partial_result_error(tmp_path):
     # size 6 takes 1-2 s, and its first subtree, (0, 0), about a sixth of
     # that: a budget of three times that subtree's own time lets it finish
     # but not the run, on a slow host as on a fast one
     start = time.monotonic()
-    enumeration._search_involutive(6, (0, 0), enumeration._Deadline(None))
+    search(6, (0, 0))
     budget = 3 * (time.monotonic() - start)
     with pytest.raises(PartialResultError) as exc:
         enumerate_solutions(
@@ -509,12 +612,66 @@ def test_past_deadline_stops_a_subtree_at_its_4096th_cell_assignment():
     # the clock is read every 4096 cell assignments, not every 4096 sigma-row
     # nodes, and subtree (0, 0) of size 6 makes more assignments than that
     ahead = enumeration._Deadline(time.monotonic() + 3600)
-    enumeration._search_involutive(6, (0, 0), ahead)
+    search(6, (0, 0), deadline=ahead)
     assert ahead.ticks > 4096
     past = enumeration._Deadline(time.monotonic() - 1)
     with pytest.raises(enumeration.TimeBudgetExceeded):
-        enumeration._search_involutive(6, (0, 0), past)
+        search(6, (0, 0), deadline=past)
     assert past.ticks == 4096
+
+
+def test_time_budget_covers_listing_the_tasks(monkeypatch):
+    # the clock starts before the task list is built, which takes a minute
+    # at involutive n=8
+    real = enumeration.subtree_tasks
+
+    def slow_subtree_tasks(n):
+        time.sleep(0.3)
+        return real(n)
+
+    monkeypatch.setattr(enumeration, "subtree_tasks", slow_subtree_tasks)
+    with pytest.raises(PartialResultError) as exc:
+        run(3, "involutive", time_budget=0.2)
+    assert exc.value.completed_tasks == []
+
+
+class CountingDeadline:
+    """A deadline that never passes and counts the cells propagated."""
+
+    def __init__(self):
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
+def _search_work(tasks, monkeypatch) -> tuple[int, int]:
+    """Cells propagated and lex-leader cuts asked, over (rack, prefix) tasks."""
+    cuts = []
+
+    def spy(tables):
+        cuts.append(1)
+        return has_smaller_relabeling(tables)
+
+    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
+    deadline = CountingDeadline()
+    for rack, prefix in tasks:
+        search(len(rack), prefix, rack=rack, deadline=deadline)
+    return deadline.ticks, len(cuts)
+
+
+def test_involutive_search_work_is_pinned(monkeypatch):
+    # losing a propagation rule leaves the classes as they are, but not the
+    # work: without the (p, ., q) triples it is 23,162 cells and 832 cuts
+    tasks = [(trivial_rack(5), key) for key in enumeration.subtree_tasks(5)]
+    assert len(tasks) == 654
+    assert _search_work(tasks, monkeypatch) == (19693, 610)
+
+
+def test_all_mode_search_work_is_pinned(monkeypatch):
+    # the same over the 19 racks of size 4, where every rule runs
+    tasks = [(rack, ()) for rack in enumeration.racks(4)]
+    assert _search_work(tasks, monkeypatch) == (5680, 895)
 
 
 def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
@@ -562,7 +719,7 @@ def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
         return real(args)
 
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
-    args = [(4, "involutive", t, None) for t in tasks]
+    args = [(4, "involutive", t, trivial_rack(4), None) for t in tasks]
     next_index = multiprocessing.Value("i", 0)
     finished, timed_out = enumeration._run_subtrees(args, tmp_path, next_index)
     assert timed_out
@@ -575,11 +732,11 @@ def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
 def test_worker_stops_at_the_deadline_between_subtrees():
     # subtrees this small never reach the in-search clock check
     past = time.monotonic() - 1
-    late = [(3, "involutive", t, past) for t in enumeration.subtree_tasks(3)]
+    late = [(3, "involutive", t, trivial_rack(3), past) for t in enumeration.subtree_tasks(3)]
     counter = multiprocessing.Value("i", 0)
     assert enumeration._run_subtrees(late, None, counter) == ([], True)
     counter.value = 0
-    on_time = [(*a[:3], None) for a in late]
+    on_time = [(*a[:4], None) for a in late]
     finished, timed_out = enumeration._run_subtrees(on_time, None, counter)
     assert not timed_out and len(finished) == len(late)
 

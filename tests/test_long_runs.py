@@ -25,9 +25,9 @@ INVOLUTIVE_REFERENCE = {7: 3456}
 # SHA-256 of the sorted canonical forms of the involutive classes of size 7,
 # the same with jobs 1 and 2
 INVOLUTIVE_7_DIGEST = "bfe466ea0f7f4db78d6f15353140b880b47c4df8aab14b6b8798305e1798850f"
-# SHA-256 of the sorted canonical forms of all mode at size 5, the same with
+# SHA-256 of the sorted canonical forms of all mode at size 6, the same with
 # jobs 1 and 2
-ALL_5_DIGEST = "01e4699efe65d52adce846bc5317aba38133278b5fbcf79d80d1f6eae48107cf"
+ALL_6_DIGEST = "ad4a45b72ab11f2d023dd8429c7e9e29cf08acd39db334eefaacf0a5c71e6fdd"
 
 
 def test_involutive_size_7(tmp_path):
@@ -45,22 +45,23 @@ def test_involutive_size_7(tmp_path):
     assert hashlib.sha256(b"".join(sorted(result.canonicals))).hexdigest() == INVOLUTIVE_7_DIGEST
 
 
-def test_all_mode_size_5(tmp_path):
-    # the reference value 3519 counts the strictly non-involutive classes;
-    # with the 88 involutive ones the total is 3607
+def test_all_mode_size_6(tmp_path):
+    # about a minute with 2 jobs; 100,071 non-involutive classes, as in the
+    # table of Akguen-Mereb-Vendramin (Math. Comp. 91 (2022)), and the 595
+    # involutive ones
     result = enumerate_solutions(
         EnumerationTask(
-            size=5,
+            size=6,
             mode="all",
-            cap=5,
+            cap=6,
             jobs=os.cpu_count() or 2,
             checkpoint_dir=os.environ.get("YBX_CHECKPOINT_DIR", tmp_path),
         )
     )
-    counts = result.counts()
-    assert counts["non_involutive"] == 3519
-    assert counts["total"] == 3607
-    assert hashlib.sha256(b"".join(sorted(result.canonicals))).hexdigest() == ALL_5_DIGEST
+    assert result.counts() == {
+        "involutive": 595, "non_involutive": 100071, "total": 100666
+    }
+    assert hashlib.sha256(b"".join(sorted(result.canonicals))).hexdigest() == ALL_6_DIGEST
 
 
 def test_labeled_count_is_the_orbit_sum_size_5():
