@@ -15,13 +15,16 @@ and the rack list: a node whose complete tables and first k rows some
 relabeling of {0..k-1} onto itself makes strictly smaller is cut.  On a
 rack, the tables are the rack and the sigma rows, so the relabelings that
 count are the rack's automorphisms; on the trivial rack every relabeling
-is an automorphism, and the cut runs on the sigma rows alone.  The same test at k = 1
-and k = 2 picks the subtree keys of involutive mode, the first two sigma
-rows; in `all` mode each rack is one task.  The least member of a class is
-never cut, so each class reaches exactly one leaf, which is validated in
-full: on the trivial rack it is emitted as its own serialization, on
-another rack as its canonical form.  The workers take the tasks one at a
-time from a shared counter, checkpointing each as it finishes; merged
+is an automorphism, and the cut runs on the sigma rows alone.  The least
+member of a class is never cut, so each class reaches exactly one leaf,
+which is validated in full: on the trivial rack it is emitted as its own
+serialization, on another rack as its canonical form.
+
+A task is a rack and a prefix of sigma rows.  The search lists the tasks
+itself: stopped at depth 2 on the trivial rack, which holds the longest
+runs, it gives the nodes there, past the cut and the propagation, as
+prefixes; every other rack is one task.  The workers take the tasks one at
+a time from a shared counter, checkpointing each as it finishes; merged
 output is a sorted canonical list, identical for any parallelism degree.
 """
 
@@ -38,12 +41,12 @@ from pathlib import Path
 from . import braces as braces_mod
 from . import groups, solutions
 from .braces import SkewBrace
-from .perms import Perm, all_perms, compose, has_smaller_relabeling, invert, nth_perm
+from .perms import Perm, all_perms, compose, has_smaller_relabeling, invert
 from .perms import relabel_table, tables_from_bytes
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class EnumerationCapError(ValueError):
@@ -116,34 +119,6 @@ class EnumerationResult:
             "non_involutive": self.total - inv,
             "total": self.total,
         }
-
-
-# ---------------------------------------------------------------------------
-# Subtrees: the first two sigma rows
-
-
-def subtree_tasks(n: int) -> list[tuple[int, ...]]:
-    """Independent subtrees of the involutive search: (row0, row1) index
-    pairs into `all_perms(n)`.
-
-    A pair is kept when no relabeling fixing 0 makes row 0 smaller and none
-    mapping {0, 1} onto itself makes rows 0, 1 smaller: the lex-leader rule
-    of the search on the trivial rack at k = 1 and k = 2.  The canonical
-    member of every involutive class passes both, since its serialization
-    starts with these rows.  Size 1 has a single task.  The identifiers
-    double as checkpoint keys, so a given size always produces the same
-    task list in the same order.
-    """
-    if n == 1:
-        return [(0,)]
-    perms = all_perms(n)
-    return [
-        (r0, r1)
-        for r0, p0 in enumerate(perms)
-        if not has_smaller_relabeling(([p0],))
-        for r1, p1 in enumerate(perms)
-        if not has_smaller_relabeling(([p0, p1],))
-    ]
 
 
 class _Deadline:
@@ -220,9 +195,10 @@ def racks(n: int) -> list[tuple[Perm, ...]]:
     return found
 
 
-def _search(n: int, rack, prefix, deadline: _Deadline) -> set[bytes]:
+def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) -> set:
     """Canonical forms of the classes with derived rack `rack` whose least
-    (rack, sigma) member lies below prefix, a list of sigma row indices.
+    (rack, sigma) member lies below prefix, a sequence of sigma rows; with
+    a depth stop, the rows of the nodes at that depth instead.
 
     For r(x, y) = (sigma_x(y), tau_y(x)) let x <| u = sigma_u tau_y(x) with
     y = sigma_x^-1(u).  Then J(x, y) = (x, sigma_x(y)) carries r to
@@ -265,11 +241,11 @@ def _search(n: int, rack, prefix, deadline: _Deadline) -> set[bytes]:
     each class reaches one leaf.  On the trivial rack every relabeling
     fixes the rack and the cut runs on the rows alone; tau is fixed by
     sigma there, so the leaf's own serialization is its canonical form.  On
-    another rack the leaf is canonicalized.  In involutive mode the prefix
-    is a subtree key, which passed the cut when it was picked, so the cut
-    starts below it.
+    another rack the leaf is canonicalized.  A prefix is a node this search
+    reached (`subtree_tasks`), past the cut, so the cut starts below it.
+    The cut runs before the depth stop, so a stopped node has passed it.
     """
-    found: set[bytes] = set()
+    found: set = set()  # classes, or the rows of the stopped nodes
     identity = tuple(range(n))
     trivial = all(row == identity for row in rack)
     T = list(zip(*rack))  # T[x][u] = x <| u
@@ -408,9 +384,9 @@ def _search(n: int, rack, prefix, deadline: _Deadline) -> set[bytes]:
             sig[p][L[p][q]] = -1
             L[p][q] = -1
 
-    rows = [nth_perm(n, r) for r in prefix]  # the complete sigma rows, for the cut
+    rows = list(prefix)  # the complete sigma rows, for the cut
     tables = (rows,) if trivial else (rack, rows)
-    # the key's cells, each one that is forced already checked against it
+    # the prefix's cells, each one that is forced already checked against it
     for x, row in enumerate(rows):
         for z, v in enumerate(row):
             if sig[x][z] != v and not (L[x][v] < 0 and assign(x, v, z)):
@@ -418,6 +394,9 @@ def _search(n: int, rack, prefix, deadline: _Deadline) -> set[bytes]:
 
     def dfs(k: int) -> None:
         if k > len(prefix) and has_smaller_relabeling(tables):
+            return
+        if k == stop:
+            found.add(tuple(rows))
             return
         if k == n:
             sigma = tuple(rows)
@@ -459,20 +438,36 @@ def _search(n: int, rack, prefix, deadline: _Deadline) -> set[bytes]:
 # Task orchestration
 
 
+def subtree_tasks(n: int, mode: str, deadline: _Deadline = _Deadline(None)) -> list[tuple]:
+    """The tasks of a run, as (rack, sigma prefix) pairs in a fixed order.
+
+    The trivial rack, which holds the longest runs, is split at the nodes
+    `_search` reaches at depth 2, past the cut at k = 1 and 2 and the
+    propagation of their cells; every other rack is one task with the
+    empty prefix.  Involutive mode has the trivial rack's tasks, all mode
+    those of every rack in `racks(n)`, the trivial rack first.  The list
+    is the same for a given size and mode, so a task's position names its
+    checkpoint.  The listing ticks `deadline` as the search does.
+    """
+    trivial = (tuple(range(n)),) * n
+    prefixes = sorted(_search(n, trivial, (), deadline, min(n, 2)))
+    tasks = [(trivial, prefix) for prefix in prefixes]
+    if mode == "all":
+        tasks += [(rack, ()) for rack in racks(n)[1:]]
+    return tasks
+
+
 def _run_subtree(args) -> list[bytes]:
-    """An involutive task is a subtree key on the trivial rack; an all-mode
-    task is a whole rack, keyed by its index in `racks(n)`."""
-    n, mode, task_id, rack, deadline_at = args
-    prefix = task_id if mode == "involutive" else ()
-    return sorted(_search(n, rack, prefix, _Deadline(deadline_at)))
+    _, _, rack, prefix, deadline_at = args
+    return sorted(_search(len(rack), rack, prefix, _Deadline(deadline_at)))
 
 
 def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, bool]:
-    """Run the subtrees that the shared counter hands out, one at a time.
+    """Run the tasks that the shared counter hands out, one at a time.
 
-    Each finished subtree is checkpointed at once.  Returns the finished
-    ones and whether time ran out; on a timeout the counter is moved past
-    the end, so that no other worker starts a subtree either.
+    Each finished task is checkpointed at once.  Returns the finished ones,
+    by position, and whether time ran out; on a timeout the counter is
+    moved past the end, so that no other worker starts a task either.
     """
     finished = []
     while True:
@@ -481,7 +476,7 @@ def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, 
             next_index.value += 1
         if i >= len(args):
             return finished, False
-        n, mode, task_id, rack, deadline_at = args[i]
+        mode, position, rack, prefix, deadline_at = args[i]
         try:
             if deadline_at is not None and time.monotonic() > deadline_at:
                 raise TimeBudgetExceeded
@@ -490,9 +485,9 @@ def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, 
             _drop_queued(next_index, len(args))
             return finished, True
         if ckpt_dir is not None:
-            path = _checkpoint_path(ckpt_dir, mode, n, task_id)
-            _store_checkpoint(path, mode, n, task_id, rack, classes)
-        finished.append((task_id, classes))
+            path = _checkpoint_path(ckpt_dir, mode, len(rack), position)
+            _store_checkpoint(path, mode, rack, prefix, classes)
+        finished.append((position, classes))
 
 
 def _drop_queued(next_index, end: int) -> None:
@@ -512,23 +507,21 @@ def _run_shared_subtrees(args: list, ckpt_dir: Path | None) -> tuple[list, bool]
     return _run_subtrees(args, ckpt_dir, _worker_next_index)
 
 
-def _checkpoint_path(directory: Path, mode: str, n: int, task_id) -> Path:
-    suffix = "-".join(f"{r:04d}" for r in task_id)
-    return directory / f"{mode}-n{n}-task{suffix}.json"
+def _checkpoint_path(directory: Path, mode: str, n: int, position: int) -> Path:
+    return directory / f"{mode}-n{n}-task{position:04d}.json"
 
 
-def _load_checkpoint(
-    path: Path, mode: str, n: int, task_id, rack
-) -> list[bytes] | None:
-    """The stored classes of a subtree, or None if it has no checkpoint.
+def _load_checkpoint(path: Path, mode: str, rack, prefix) -> list[bytes] | None:
+    """The stored classes of a task, or None if it has no checkpoint.
 
-    The stored rack must be the task's, and each class must decode to a
-    valid solution of size n (involutive in involutive mode) and be its own
-    canonical form; anything else raises CheckpointMismatchError, so that a
-    damaged file never joins the result.
+    The stored rack and prefix must be the task's, and each class must
+    decode to a valid solution of size n (involutive in involutive mode)
+    and be its own canonical form; anything else raises
+    CheckpointMismatchError, so that a damaged file never joins the result.
     """
     if not path.exists():
         return None
+    n = len(rack)
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -538,12 +531,12 @@ def _load_checkpoint(
         or data.get("version") != CHECKPOINT_VERSION
         or data.get("mode") != mode
         or data.get("size") != n
-        or data.get("task") != list(task_id)
         or data.get("rack") != [list(row) for row in rack]
+        or data.get("prefix") != [list(row) for row in prefix]
     ):
         raise CheckpointMismatchError(
-            f"checkpoint {path} does not match this run "
-            f"(wanted version={CHECKPOINT_VERSION} mode={mode} size={n} task={task_id})"
+            f"checkpoint {path} does not match this run (wanted version="
+            f"{CHECKPOINT_VERSION} mode={mode} size={n} rack={rack} prefix={prefix})"
         )
     hexes = data.get("classes")
     if not isinstance(hexes, list) or not all(isinstance(h, str) for h in hexes):
@@ -567,15 +560,13 @@ def _load_checkpoint(
     return blobs
 
 
-def _store_checkpoint(
-    path: Path, mode: str, n: int, task_id, rack, classes: list[bytes]
-) -> None:
+def _store_checkpoint(path: Path, mode: str, rack, prefix, classes: list[bytes]) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
         "mode": mode,
-        "size": n,
-        "task": list(task_id),
+        "size": len(rack),
         "rack": [list(row) for row in rack],
+        "prefix": [list(row) for row in prefix],
         "classes": [b.hex() for b in classes],
     }
     tmp = path.with_suffix(".tmp")
@@ -591,45 +582,40 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
     tasks are persisted and reused on resume.
     """
     task.validate()
-    # the budget covers listing the tasks too, which takes a minute at
+    # the budget covers listing the tasks too, which takes about 40 s at
     # involutive n=8
     deadline_at = (
         time.monotonic() + task.time_budget if task.time_budget is not None else None
     )
     n = task.size
-    if task.mode == "involutive":
-        trivial = (tuple(range(n)),) * n
-        tasks = [(key, trivial) for key in subtree_tasks(n)]
-    else:
-        tasks = [((i,), rack) for i, rack in enumerate(racks(n))]
-    n_tasks = len(tasks)
-
     ckpt_dir: Path | None = None
     if task.checkpoint_dir is not None:
         ckpt_dir = Path(task.checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    args: list[tuple] = []  # the pending tasks
+    tasks: list[tuple] = []
     merged: set[bytes] = set()
-    completed: list[tuple[int, ...]] = []
-    for task_id, rack in tasks:
-        if ckpt_dir is not None:
-            stored = _load_checkpoint(
-                _checkpoint_path(ckpt_dir, task.mode, n, task_id),
-                task.mode, n, task_id, rack,
-            )
-            if stored is not None:
-                merged.update(stored)
-                completed.append(task_id)
-                continue
-        args.append((n, task.mode, task_id, rack, deadline_at))
-
-    # the workers take subtrees one at a time from a shared counter, so a
-    # heavy subtree never holds up others queued behind it, and the pool
-    # gets one future per worker rather than one per subtree
-    next_index = multiprocessing.Value("i", 0)
-    workers = min(task.jobs, len(args))
+    completed: list[int] = []
     try:
+        tasks = subtree_tasks(n, task.mode, _Deadline(deadline_at))
+        args: list[tuple] = []  # the pending tasks
+        for position, (rack, prefix) in enumerate(tasks):
+            if ckpt_dir is not None:
+                stored = _load_checkpoint(
+                    _checkpoint_path(ckpt_dir, task.mode, n, position),
+                    task.mode, rack, prefix,
+                )
+                if stored is not None:
+                    merged.update(stored)
+                    completed.append(position)
+                    continue
+            args.append((task.mode, position, rack, prefix, deadline_at))
+
+        # the workers take tasks one at a time from a shared counter, so a
+        # heavy task never holds up others queued behind it, and the pool
+        # gets one future per worker rather than one per task
+        next_index = multiprocessing.Value("i", 0)
+        workers = min(task.jobs, len(args))
         if workers <= 1:
             runs = [_run_subtrees(args, ckpt_dir, next_index)]
         else:
@@ -650,22 +636,22 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
                     runs = [fut.result() for fut in futures]
                 except BaseException:
                     # an interrupt or a failed worker: start no further
-                    # subtree; the running ones finish and are checkpointed
+                    # task; the running ones finish and are checkpointed
                     _drop_queued(next_index, len(args))
                     raise
         for finished, _ in runs:
-            for task_id, classes in finished:
+            for position, classes in finished:
                 merged.update(classes)
-                completed.append(task_id)
+                completed.append(position)
         if any(timed_out for _, timed_out in runs):
             raise TimeBudgetExceeded
     except TimeBudgetExceeded:
+        done = f"{len(completed)}/{len(tasks)} tasks done" if tasks else "the tasks unlisted"
         raise PartialResultError(
-            f"time budget of {task.time_budget}s exceeded with "
-            f"{len(completed)}/{n_tasks} subtrees done"
+            f"time budget of {task.time_budget}s exceeded with {done}"
             + (" (completed work is checkpointed)" if ckpt_dir else ""),
             sorted(completed),
-            n_tasks,
+            len(tasks),
         ) from None
 
     return EnumerationResult(n, task.mode, sorted(merged))

@@ -13,11 +13,13 @@ under a pigeonhole bound, then tau rows over forced cell domains, without
 the derived rack) are the two searches without the lex-leader prune: they
 canonicalize every leaf.  `labeled_racks` lists every rack table, and
 `derived_rack` reads a solution's rack off its tables.
-`smaller_relabeling_brute` tries every relabeling the prune may use.  The
-counting helpers and `orbit_sum` give the two sides of the orbit-counting
-identity: the number of labeled solutions equals the sum of n!/|Aut(s)| over
-the classes s.  `guess_by_linear_solves` is the series guess before it used
-Berlekamp-Massey: one exact linear solve per order, then a polynomial gcd.
+`smaller_relabeling_brute` tries every relabeling the prune may use, and
+`lex_leader_pairs` lists by it the first two sigma rows that the prune
+keeps.  The counting helpers and `orbit_sum` give the two sides of the
+orbit-counting identity: the number of labeled solutions equals the sum of
+n!/|Aut(s)| over the classes s.  `guess_by_linear_solves` is the series
+guess before it used Berlekamp-Massey: one exact linear solve per order,
+then a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -317,13 +319,12 @@ def _valid_leaves(n: int, sig: list, sinv: list):
 
 
 def unpruned_involutive_search(n: int, prefix) -> set[bytes]:
-    """Canonical forms of every valid leaf below a subtree prefix.
+    """Canonical forms of every valid leaf below a prefix of sigma rows.
 
     The involutive search without the lex-leader prune: each leaf the row
     generator reaches is checked and canonicalized over all of Sym(n).
     """
-    perms = all_perms(n)
-    sig = [perms[r] for r in prefix]
+    sig = list(prefix)
     sinv = [invert(p) for p in sig]
     if not all(row_products_hold(sig, sinv, k, n) for k in range(len(sig))):
         return set()
@@ -331,7 +332,7 @@ def unpruned_involutive_search(n: int, prefix) -> set[bytes]:
 
 
 def unpruned_all_search(n: int, prefix) -> set[bytes]:
-    """Canonical forms of every valid leaf below a sigma subtree prefix, by
+    """Canonical forms of every valid leaf below a prefix of sigma rows, by
     sigma rows and then tau rows, without the derived rack and without the
     lex-leader prune, on index tables.
 
@@ -344,7 +345,7 @@ def unpruned_all_search(n: int, prefix) -> set[bytes]:
     """
     perms, index, mul, inv = sym_tables(n)
     found: set[bytes] = set()
-    srows = list(prefix)
+    srows = [index[row] for row in prefix]
 
     def sigma_ok(k: int) -> bool:
         required = set()
@@ -460,6 +461,22 @@ def smaller_relabeling_brute(tables) -> bool:
             if moved < target:
                 return True
     return False
+
+
+@functools.cache
+def lex_leader_pairs(n: int) -> list[tuple]:
+    """The first sigma rows (p0,) or (p0, p1) that no relabeling fixing 0
+    makes smaller in row 0, and none mapping {0, 1} onto itself in rows 0
+    and 1, by `smaller_relabeling_brute`: every prefix of length min(n, 2)
+    that the lex-leader cut lets through, whatever else the search forces."""
+    perms = all_perms(n)
+    firsts = [(p0,) for p0 in perms if not smaller_relabeling_brute(([p0],))]
+    if n == 1:
+        return firsts
+    return [
+        (p0, p1) for (p0,) in firsts for p1 in perms
+        if not smaller_relabeling_brute(([p0, p1],))
+    ]
 
 
 def labeled_involutive_solutions(n):

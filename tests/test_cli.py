@@ -270,12 +270,13 @@ def test_checkpoint_flag_stores_every_subtree(capsys, tmp_path):
     assert out.strip() == "5"
     from yangbaxter.enumeration import subtree_tasks
 
-    assert len(list(tmp_path.glob("involutive-n3-task*.json"))) == len(subtree_tasks(3))
+    tasks = subtree_tasks(3, "involutive")
+    assert len(list(tmp_path.glob("involutive-n3-task*.json"))) == len(tasks)
 
 
 def test_version_1_checkpoint_is_refused(capsys, tmp_path):
-    # the subtree keys changed with version 2; (0, 0) is a key in both
-    (tmp_path / "involutive-n3-task0000-0000.json").write_text(json.dumps(
+    # the tasks changed with each version; the first task's file is read
+    (tmp_path / "involutive-n3-task0000.json").write_text(json.dumps(
         {"version": 1, "mode": "involutive", "size": 3, "task": [0, 0], "classes": []}
     ))
     code, _, err = run_cli(

@@ -20,6 +20,7 @@ from oracles import (
     labeled_involutive_solutions,
     labeled_racks,
     labeled_solutions,
+    lex_leader_pairs,
     orbit_sum,
     row_generator_nodes,
     row_products_hold,
@@ -62,6 +63,16 @@ def search(n, prefix, rack=None, deadline=None):
     return enumeration._search(
         n, rack or trivial_rack(n), prefix, deadline or enumeration._Deadline(None)
     )
+
+
+def trivial_keys(n):
+    """The sigma prefixes of the trivial rack's tasks."""
+    return [prefix for _, prefix in enumeration.subtree_tasks(n, "involutive")]
+
+
+def first_rows(blob, n):
+    """The first two sigma rows (one if n = 1) of a serialization."""
+    return tuple(tuple(blob[i * n : (i + 1) * n]) for i in range(min(n, 2)))
 
 
 def digest(blobs) -> str:
@@ -197,21 +208,21 @@ def test_row_generator_matches_row_filter_on_whole_tree(n):
 
 
 def test_row_generator_matches_row_filter_below_size5_subtrees():
-    perms, _, mul, inv = sym_tables(5)
+    perms, index, mul, inv = sym_tables(5)
     nodes = 0
-    for prefix in enumeration.subtree_tasks(5):
-        sig = [perms[r] for r in prefix]
-        sinv = [perms[inv[r]] for r in prefix]
+    for sig in lex_leader_pairs(5):
+        prefix = [index[row] for row in sig]
+        sinv = [invert(row) for row in sig]
         # the prefix check is the same routine, on complete rows
         checks = [
-            involutive_row_ok(list(prefix[: k + 1]), k, perms, mul, inv)
+            involutive_row_ok(prefix[: k + 1], k, perms, mul, inv)
             for k in range(len(prefix))
         ]
         assert checks == [
             row_products_hold(sig, sinv, k, 5) for k in range(len(prefix))
         ], prefix
         if all(checks):
-            _assert_generator_matches_filter(list(prefix), 5, depth=1)
+            _assert_generator_matches_filter(prefix, 5, depth=1)
             nodes += 1
     assert nodes == 475
 
@@ -241,11 +252,9 @@ def _triple_rule_verdicts(tables, monkeypatch) -> list[bool]:
     reached = []
     monkeypatch.setattr(solutions, "diagnose", lambda n, sigma, tau: reached.append(sigma))
     for sigma, accepted in zip(tables, verdicts):
-        n = len(sigma)
-        index = {p: i for i, p in enumerate(all_perms(n))}
         assert _cycle_set_identity_holds(sigma) == accepted, sigma
         reached.clear()
-        search(n, tuple(index[row] for row in sigma))
+        search(len(sigma), sigma)
         assert reached == ([sigma] if accepted else []), sigma
     return verdicts
 
@@ -302,7 +311,6 @@ def test_rack_rule_is_diagnose_on_every_rack_and_sigma_table(n, labeled, monkeyp
     # every solution is one (rack, sigma) pair: tau_y(x) = sigma_u^-1(x <| u)
     # with u = sigma_x(y); given sigma as its prefix, the search reaches the
     # leaf exactly when diagnose accepts that (sigma, tau)
-    index = {p: i for i, p in enumerate(all_perms(n))}
     reached = []
     diagnose = solutions.diagnose
     monkeypatch.setattr(
@@ -318,7 +326,7 @@ def test_rack_rule_is_diagnose_on_every_rack_and_sigma_table(n, labeled, monkeyp
             )
             valid = diagnose(n, sigma, tau) is None
             reached.clear()
-            search(n, tuple(index[row] for row in sigma), rack=C)
+            search(n, sigma, rack=C)
             assert reached == ([(sigma, tau)] if valid else []), (C, sigma)
             accepted += valid
     # labeled_solutions(n), as test_all_mode_labeled_count_is_the_orbit_sum pins
@@ -380,42 +388,51 @@ def test_lex_leader_check_matches_brute_force_on_size5_subtree_prefixes():
     assert cut > 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_subtree_keys_are_the_lex_leader_pairs(n):
-    perms = all_perms(n)
-    if n == 1:
-        assert enumeration.subtree_tasks(n) == [(0,)]
-        return
-    assert enumeration.subtree_tasks(n) == [
-        (r0, r1)
-        for r0, p0 in enumerate(perms)
-        if not smaller_relabeling_brute(([p0],))
-        for r1, p1 in enumerate(perms)
-        if not smaller_relabeling_brute(([p0, p1],))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_subtree_keys_are_the_lex_leader_pairs(n, involutive_corpus):
+    # the search cuts every pair the lex-leader rule cuts, and the ones the
+    # propagation refutes, but never the first rows of a least member
+    keys = trivial_keys(n)
+    assert keys and set(keys) <= set(lex_leader_pairs(n))
+    for s in involutive_corpus[n]:
+        blob = solutions.canonical_form(s)
+        assert first_rows(blob, n) in keys, blob.hex()
+
+
+def test_trivial_rack_task_counts_are_pinned():
+    assert [len(trivial_keys(n)) for n in range(1, 7)] == [1, 2, 8, 31, 161, 900]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_involutive_tasks_are_the_all_mode_tasks_on_the_trivial_rack(n):
+    involutive = enumeration.subtree_tasks(n, "involutive")
+    assert all(rack == trivial_rack(n) for rack, _ in involutive)
+    assert enumeration.subtree_tasks(n, "all") == involutive + [
+        (rack, ()) for rack in enumeration.racks(n)[1:]
     ]
 
 
-def test_canonical_members_lie_in_subtrees(involutive_corpus):
-    # the first two sigma rows of every canonical serialization index a key
-    blobs = [(n, solutions.canonical_form(s)) for n, c in involutive_corpus.items() for s in c]
-    blobs += [(n, b) for n in range(1, 5) for b in run(n, "all").canonicals]
-    keys = {n: set(enumeration.subtree_tasks(n)) for n, _ in blobs}
-    for n, blob in blobs:
-        index = {p: i for i, p in enumerate(all_perms(n))}
-        key = tuple(index[tuple(blob[i * n : (i + 1) * n])] for i in range(min(n, 2)))
-        assert key in keys[n], blob.hex()
+def test_canonical_members_lie_in_subtrees():
+    # the trivial rack's keys drop pairs that non-involutive classes use:
+    # their first two sigma rows are lex-leader pairs, and an involutive
+    # class's are a key
+    for n in range(1, 5):
+        pairs, keys = set(lex_leader_pairs(n)), set(trivial_keys(n))
+        full = run(n, "all")
+        for blob, s in zip(full.canonicals, full.classes):
+            assert first_rows(blob, n) in (keys if s.involutive else pairs), blob.hex()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_orderly_search_matches_unpruned_oracle_per_subtree(n):
-    orderly, oracle = [], []
-    for prefix in enumeration.subtree_tasks(n):
+    oracle = {prefix: unpruned_involutive_search(n, prefix) for prefix in lex_leader_pairs(n)}
+    orderly = []
+    for prefix in trivial_keys(n):
         orderly.append(search(n, prefix))
-        oracle.append(unpruned_involutive_search(n, prefix))
         # a subtree emits only classes the unpruned search reaches in it
-        assert orderly[-1] <= oracle[-1], prefix
+        assert orderly[-1] <= oracle[prefix], prefix
     classes = set().union(*orderly)
-    assert classes == set().union(*oracle)
+    assert classes == set().union(*oracle.values())
     # each class comes from exactly one subtree ...
     assert sum(map(len, orderly)) == len(classes)
     # ... as the serialization of its canonical member
@@ -425,17 +442,17 @@ def test_orderly_search_matches_unpruned_oracle_per_subtree(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orderly_all_search_matches_unpruned_oracle_per_subtree(n):
-    # the search on each rack against the search by sigma rows and tau cells
-    # without the prune, over the sigma subtree keys
-    found = enumeration.racks(n)
-    orderly = [search(n, (), rack=rack) for rack in found]
-    oracle = set().union(*(unpruned_all_search(n, key) for key in enumeration.subtree_tasks(n)))
+    # the search on each task against the search by sigma rows and tau cells
+    # without the prune, over the lex-leader sigma pairs
+    tasks = enumeration.subtree_tasks(n, "all")
+    orderly = [search(n, prefix, rack=rack) for rack, prefix in tasks]
+    oracle = set().union(*(unpruned_all_search(n, pair) for pair in lex_leader_pairs(n)))
     classes = set().union(*orderly)
     assert classes == oracle
     # the least (rack, sigma) member of a class is the one leaf left, so a
-    # class comes from one rack only ...
+    # class comes from one task only ...
     assert sum(map(len, orderly)) == len(classes)
-    for rack, blobs in zip(found, orderly):
+    for (rack, _), blobs in zip(tasks, orderly):
         for blob in blobs:
             sol = solutions.solution_from_canonical(blob)
             # ... is emitted as its canonical form ...
@@ -469,11 +486,12 @@ def test_all_mode_reaches_each_class_at_one_leaf(monkeypatch):
         assert calls == {"canonical": classes - involutive, "diagnose": classes}, n
 
 
-# all mode has no sigma key: its tasks are whole racks
-@pytest.mark.parametrize("mode, sizes", [("involutive", range(1, 6))])
+@pytest.mark.parametrize(
+    "mode, sizes", [("involutive", range(1, 6)), ("all", range(1, 5))]
+)
 def test_searches_do_not_recheck_their_subtree_key(mode, sizes, monkeypatch):
-    # subtree_tasks hands out only keys that passed the cut at k = 1 and 2
-    keys = {n: enumeration.subtree_tasks(n) for n in sizes}
+    # a task's prefix passed the cut at k = 1 and 2 when the search listed it
+    tasks = [task for n in sizes for task in enumeration.subtree_tasks(n, mode)]
     asked = set()
 
     def spy(tables):
@@ -481,11 +499,13 @@ def test_searches_do_not_recheck_their_subtree_key(mode, sizes, monkeypatch):
         return has_smaller_relabeling(tables)
 
     monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
-    for n in sizes:
-        for prefix in keys[n]:
-            search(n, prefix)
-    key_rows = {(tuple(all_perms(n)[r] for r in key),) for n in sizes for key in keys[n]}
-    assert asked and not key_rows & asked
+    for rack, prefix in tasks:
+        search(len(rack), prefix, rack=rack)
+    prefixes = {
+        (prefix,) if rack == trivial_rack(len(rack)) else (rack, prefix)
+        for rack, prefix in tasks
+    }
+    assert asked and not prefixes & asked
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +538,9 @@ def test_parallel_output_is_deterministic():
 
 
 def test_checkpoint_resume(tmp_path):
-    from yangbaxter.enumeration import subtree_tasks
-
     first = run(3, "involutive", checkpoint_dir=tmp_path)
     files = list(tmp_path.glob("involutive-n3-task*.json"))
-    assert len(files) == len(subtree_tasks(3))
+    assert len(files) == len(trivial_keys(3))
     again = run(3, "involutive", checkpoint_dir=tmp_path)
     assert again.canonicals == first.canonicals
 
@@ -538,7 +556,8 @@ def test_checkpoint_mismatch_detected(tmp_path):
 def _damaged_checkpoint(fault):
     header = {
         "version": enumeration.CHECKPOINT_VERSION, "mode": "involutive", "size": 3,
-        "task": [0, 0], "rack": [list(row) for row in trivial_rack(3)],
+        "rack": [list(row) for row in trivial_rack(3)],
+        "prefix": [list(row) for row in trivial_keys(3)[0]],
     }
     if fault == "no classes":
         return header
@@ -569,7 +588,7 @@ def _damaged_checkpoint(fault):
 )
 def test_damaged_checkpoint_is_rejected(tmp_path, fault):
     run(3, "involutive", checkpoint_dir=tmp_path)
-    path = enumeration._checkpoint_path(tmp_path, "involutive", 3, (0, 0))
+    path = enumeration._checkpoint_path(tmp_path, "involutive", 3, 0)
     path.write_text(json.dumps(_damaged_checkpoint(fault)))
     with pytest.raises(CheckpointMismatchError):
         run(3, "involutive", checkpoint_dir=tmp_path)
@@ -578,22 +597,28 @@ def test_damaged_checkpoint_is_rejected(tmp_path, fault):
 def test_checkpoint_of_another_rack_is_rejected(tmp_path):
     first = run(3, "all", checkpoint_dir=tmp_path)
     assert run(3, "all", checkpoint_dir=tmp_path).canonicals == first.canonicals
-    # task (1,) is the second rack; a checkpoint that names the third is
-    # refused, though its classes are valid
-    path = enumeration._checkpoint_path(tmp_path, "all", 3, (1,))
-    data = json.loads(path.read_text())
-    data["rack"] = [list(row) for row in enumeration.racks(3)[2]]
-    path.write_text(json.dumps(data))
-    with pytest.raises(CheckpointMismatchError):
-        run(3, "all", checkpoint_dir=tmp_path)
+    # the first task's checkpoint, naming the last task's rack or the second
+    # task's prefix, is refused, though its classes are valid
+    tasks = enumeration.subtree_tasks(3, "all")
+    path = enumeration._checkpoint_path(tmp_path, "all", 3, 0)
+    stored = path.read_text()
+    for field, table in [("rack", tasks[-1][0]), ("prefix", tasks[1][1])]:
+        data = json.loads(stored)
+        assert data[field] != [list(row) for row in table]
+        data[field] = [list(row) for row in table]
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointMismatchError):
+            run(3, "all", checkpoint_dir=tmp_path)
+    path.write_text(stored)
+    assert run(3, "all", checkpoint_dir=tmp_path).canonicals == first.canonicals
 
 
 def test_time_budget_yields_partial_result_error(tmp_path):
-    # size 6 takes 1-2 s, and its first subtree, (0, 0), about a sixth of
-    # that: a budget of three times that subtree's own time lets it finish
-    # but not the run, on a slow host as on a fast one
+    # size 6 takes 1-2 s, and its first subtree, the identity rows, about a
+    # sixth of that: a budget of three times that subtree's own time lets it
+    # finish but not the run, on a slow host as on a fast one
     start = time.monotonic()
-    search(6, (0, 0))
+    search(6, trivial_keys(6)[0])
     budget = 3 * (time.monotonic() - start)
     with pytest.raises(PartialResultError) as exc:
         enumerate_solutions(
@@ -601,7 +626,7 @@ def test_time_budget_yields_partial_result_error(tmp_path):
                 size=6, mode="involutive", time_budget=budget, checkpoint_dir=tmp_path,
             )
         )
-    total = len(enumeration.subtree_tasks(6))
+    total = len(trivial_keys(6))
     assert exc.value.total_tasks == total
     assert 0 < len(exc.value.completed_tasks) < total
     # completed subtrees are persisted for resume
@@ -610,28 +635,41 @@ def test_time_budget_yields_partial_result_error(tmp_path):
 
 def test_past_deadline_stops_a_subtree_at_its_4096th_cell_assignment():
     # the clock is read every 4096 cell assignments, not every 4096 sigma-row
-    # nodes, and subtree (0, 0) of size 6 makes more assignments than that
+    # nodes, and the first subtree of size 6 makes more assignments than that
+    key = trivial_keys(6)[0]
     ahead = enumeration._Deadline(time.monotonic() + 3600)
-    search(6, (0, 0), deadline=ahead)
+    search(6, key, deadline=ahead)
     assert ahead.ticks > 4096
     past = enumeration._Deadline(time.monotonic() - 1)
     with pytest.raises(enumeration.TimeBudgetExceeded):
-        search(6, (0, 0), deadline=past)
+        search(6, key, deadline=past)
     assert past.ticks == 4096
 
 
 def test_time_budget_covers_listing_the_tasks(monkeypatch):
-    # the clock starts before the task list is built, which takes a minute
-    # at involutive n=8
+    # the clock starts before the task list is built, which takes about
+    # 40 s at involutive n=8
     real = enumeration.subtree_tasks
 
-    def slow_subtree_tasks(n):
+    def slow_subtree_tasks(*args):
         time.sleep(0.3)
-        return real(n)
+        return real(*args)
 
     monkeypatch.setattr(enumeration, "subtree_tasks", slow_subtree_tasks)
     with pytest.raises(PartialResultError) as exc:
         run(3, "involutive", time_budget=0.2)
+    assert exc.value.completed_tasks == []
+
+
+def test_past_deadline_stops_the_task_listing_at_its_4096th_cell():
+    # listing the tasks of size 6 propagates 48,057 cells; the run's deadline
+    # stops it as it stops a search, and the run has no task done
+    past = enumeration._Deadline(time.monotonic() - 1)
+    with pytest.raises(enumeration.TimeBudgetExceeded):
+        enumeration.subtree_tasks(6, "involutive", past)
+    assert past.ticks == 4096
+    with pytest.raises(PartialResultError) as exc:
+        run(6, "involutive", time_budget=0)
     assert exc.value.completed_tasks == []
 
 
@@ -662,10 +700,11 @@ def _search_work(tasks, monkeypatch) -> tuple[int, int]:
 
 def test_involutive_search_work_is_pinned(monkeypatch):
     # losing a propagation rule leaves the classes as they are, but not the
-    # work: without the (p, ., q) triples it is 23,162 cells and 832 cuts
-    tasks = [(trivial_rack(5), key) for key in enumeration.subtree_tasks(5)]
-    assert len(tasks) == 654
-    assert _search_work(tasks, monkeypatch) == (19693, 610)
+    # work: without the (p, ., q) triples it is 187 tasks, 18,633 cells and
+    # 832 cuts
+    tasks = enumeration.subtree_tasks(5, "involutive")
+    assert len(tasks) == 161
+    assert _search_work(tasks, monkeypatch) == (14883, 610)
 
 
 def test_all_mode_search_work_is_pinned(monkeypatch):
@@ -678,18 +717,18 @@ def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
     # threads stand in for the worker processes so that the subtree runner
     # can be replaced: the first subtree runs out of time at once, the
     # others take a while, so they finish after it
-    tasks = enumeration.subtree_tasks(4)
+    tasks = enumeration.subtree_tasks(4, "involutive")
     real = enumeration._run_subtree
     started, returned = [], []
 
     def run_subtree(args):
-        prefix = args[2]
-        started.append(prefix)
-        if prefix == tasks[0]:
+        position = args[1]
+        started.append(position)
+        if position == 0:
             raise enumeration.TimeBudgetExceeded
         time.sleep(0.05)
         result = real(args)
-        returned.append(prefix)
+        returned.append(position)
         return result
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
@@ -708,23 +747,23 @@ def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
 ):
     # the worker runs out of time on its second subtree: by then the first is
     # on disk, and the counter is moved past the end so no worker starts more
-    tasks = enumeration.subtree_tasks(4)
+    tasks = enumeration.subtree_tasks(4, "involutive")
     real = enumeration._run_subtree
     on_disk = []
 
     def run_subtree(args):
-        if args[2] == tasks[1]:
+        if args[1] == 1:
             on_disk.extend(tmp_path.glob("*.json"))
             raise enumeration.TimeBudgetExceeded
         return real(args)
 
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
-    args = [(4, "involutive", t, trivial_rack(4), None) for t in tasks]
+    args = [("involutive", i, rack, prefix, None) for i, (rack, prefix) in enumerate(tasks)]
     next_index = multiprocessing.Value("i", 0)
     finished, timed_out = enumeration._run_subtrees(args, tmp_path, next_index)
     assert timed_out
-    assert [t for t, _ in finished] == [tasks[0]]
-    first = enumeration._checkpoint_path(tmp_path, "involutive", 4, tasks[0])
+    assert [i for i, _ in finished] == [0]
+    first = enumeration._checkpoint_path(tmp_path, "involutive", 4, 0)
     assert on_disk == [first]
     assert next_index.value == len(args)
 
@@ -732,7 +771,10 @@ def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
 def test_worker_stops_at_the_deadline_between_subtrees():
     # subtrees this small never reach the in-search clock check
     past = time.monotonic() - 1
-    late = [(3, "involutive", t, trivial_rack(3), past) for t in enumeration.subtree_tasks(3)]
+    late = [
+        ("involutive", i, rack, prefix, past)
+        for i, (rack, prefix) in enumerate(enumeration.subtree_tasks(3, "involutive"))
+    ]
     counter = multiprocessing.Value("i", 0)
     assert enumeration._run_subtrees(late, None, counter) == ([], True)
     counter.value = 0
@@ -744,17 +786,17 @@ def test_worker_stops_at_the_deadline_between_subtrees():
 def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatch):
     # an interrupt in one worker: the other finishes the subtree it is on,
     # which is checkpointed, and starts no other
-    tasks = enumeration.subtree_tasks(4)
+    tasks = enumeration.subtree_tasks(4, "involutive")
     real = enumeration._run_subtree
     started, returned = [], []
 
     def run_subtree(args):
-        started.append(args[2])
-        if args[2] == tasks[0]:
+        started.append(args[1])
+        if args[1] == 0:
             raise KeyboardInterrupt
         time.sleep(0.05)
         result = real(args)
-        returned.append(args[2])
+        returned.append(args[1])
         return result
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
@@ -775,7 +817,7 @@ def test_parallel_run_submits_one_future_per_worker(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     assert run(5, "involutive", jobs=2).total == 88
-    # not one future per subtree (834 at n = 5)
+    # not one future per task (161 at n = 5)
     assert len(submitted) == 2
 
 

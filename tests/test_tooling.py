@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import io
+import json
 import os
 import re
 import shlex
@@ -29,6 +30,19 @@ def test_every_traced_function_exists():
     for module, attr, _, _ in tracer.TRACED:
         found = getattr(importlib.import_module(f"yangbaxter.{module}"), attr, None)
         assert callable(found), f"yangbaxter.{module}.{attr} is gone"
+
+
+def test_traced_all_mode_run_reads_its_tasks():
+    # the per-layer task count and listing time cover all mode too
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all-4",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
+    assert result["metrics"]["enumeration.subtrees"]["value"] > 0
 
 
 def _src_env() -> dict:
