@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Exhaustive enumeration at small sizes and what the corpus looks like.
 
-Run:  python demos/enumeration_tour.py          (about a minute)
-      YBX_N5=1 python demos/enumeration_tour.py  (adds the 88-class size-5 run)
+Run:  python demos/enumeration_tour.py   (about a second)
 """
 
-import os
 import time
 
 from yangbaxter import braces
@@ -32,13 +30,10 @@ def main():
         print(f"  {n:>2} {c['involutive']:>10} {c['non_involutive']:>8} "
               f"{c['total']:>6} {time.time() - t0:>6.1f}")
 
-    if os.environ.get("YBX_N5") == "1":
-        t0 = time.time()
-        result = enumerate_solutions(
-            EnumerationTask(size=5, mode="involutive", jobs=2)
-        )
-        print(f"   5 {result.total:>10} {'-':>8} {'-':>6} {time.time() - t0:>6.1f}"
-              "   (involutive only)")
+    t0 = time.time()
+    result = enumerate_solutions(EnumerationTask(size=5, mode="involutive", jobs=2))
+    print(f"   5 {result.total:>10} {'-':>8} {'-':>6} {time.time() - t0:>6.1f}"
+          "   (involutive only)")
 
     print("\ninvolutive corpus statistics:")
     for n in (2, 3, 4):

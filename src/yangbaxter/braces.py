@@ -361,32 +361,15 @@ def annihilator(A: SkewBrace) -> BraceIdeal:
 
 
 def quotient_brace(A: SkewBrace, ideal) -> SkewBrace:
+    """A/I, from the quotients of (A,+) and (A,o) by I.
+
+    For an ideal a + I = a o I, so both quotients number the cosets alike.
+    """
     members = sorted(set(ideal.members if isinstance(ideal, BraceIdeal) else ideal))
     if not is_ideal(A, members):
         raise ValueError("subset is not an ideal")
-    n = A.size
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for a in range(n):
-        if coset_of[a] != -1:
-            continue
-        cid = len(reps)
-        reps.append(a)
-        for h in members:
-            coset_of[A.mul[a][h]] = cid
-    # a + I = a o I for ideals; sanity-check the additive cosets agree
-    for a in range(n):
-        for h in members:
-            if coset_of[A.add[a][h]] != coset_of[a]:  # pragma: no cover
-                raise RuntimeError("additive and multiplicative cosets disagree")
-    m = len(reps)
-    q_add = tuple(
-        tuple(coset_of[A.add[ra][rb]] for rb in reps) for ra in reps
-    )
-    q_mul = tuple(
-        tuple(coset_of[A.mul[ra][rb]] for rb in reps) for ra in reps
-    )
-    return verify_brace(q_add, q_mul)
+    return verify_brace(groups.quotient(additive_group(A), members).table,
+                        groups.quotient(multiplicative_group(A), members).table)
 
 
 def right_nilpotency(A: SkewBrace) -> int | None:

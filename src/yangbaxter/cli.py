@@ -1,11 +1,15 @@
 """The ybx command line.
 
 Subcommands: verify, analyze, enumerate, repr, growth, upp and the brace
-group (verify | analyze | solution | ring).  Exit codes: 0 success, 1 the
-input is invalid or fails a required property, 2 I/O or parse errors.
-Structured output mode emits one JSON object per line, schema-versioned.
-Indices in files are 0-based; human-facing flags accept 1-based cycle
-notation and 1-based words.
+group (verify | analyze | solution | ring), where `brace verify` and
+`brace analyze` are `verify` and `analyze` taking brace files only.  Exit
+codes: 0 success, 1 the input is invalid or fails a required property, 2
+I/O or parse errors.  Failures follow one rule: the subcommands that take
+`--format` (verify, analyze) report them on standard output, as a JSON
+object with `ok: false` in structured mode; every other subcommand reports
+them on standard error.  Structured output mode emits one JSON object per
+line, schema-versioned.  Indices in files are 0-based; human-facing flags
+accept 1-based cycle notation and 1-based words.
 """
 
 from __future__ import annotations
@@ -22,6 +26,31 @@ from .solutions import Solution
 
 STRUCTURED_SCHEMA = 1
 
+# per kind of record: its name, and the property `verify` reports with its reader
+_KINDS = {
+    Solution: ("solution", "involutive", lambda s: s.involutive),
+    SkewBrace: ("brace", "abelian type", lambda A: A.is_abelian_type),
+    FiniteRing: ("ring", "radical", braces_mod.is_radical_ring),
+}
+
+# what a subcommand says of a file that holds a record of another kind,
+# keyed by the kinds it takes
+_WRONG_KIND = {
+    (Solution, SkewBrace, FiniteRing): "unsupported record",
+    (Solution, SkewBrace): "analyze expects a solution or brace",
+    (Solution,): "error: this command expects a solution file",
+    (SkewBrace,): "error: not a brace file",
+    (SkewBrace, FiniteRing): "error: ring action expects a brace or ring file",
+}
+
+
+class _Failure(Exception):
+    """A failed subcommand: its exit code, structured payload and text line."""
+
+    def __init__(self, code: int, payload: dict, text: str):
+        super().__init__(text)
+        self.code, self.payload, self.text = code, payload, text
+
 
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "format", "text") == "structured":
@@ -31,88 +60,47 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _report_text(report: dict) -> str:
-    return "\n".join(f"{k}: {str(v).lower() if isinstance(v, bool) else v}"
-                     for k, v in report.items())
+def _load(args, involutive: bool = False):
+    """The record in `args.path`, which must be of one of the kinds `args.kinds`.
 
-
-def _load_or_emit(args):
-    """(record, None), or (None, exit code) once the failure went through _emit."""
-    try:
-        return fileio.parse_file(args.path), None
-    except fileio.ParseError as exc:
-        _emit(args, {"ok": False, "error": str(exc)}, f"parse error: {exc}")
-        return None, 2
-    except (solutions.InvalidSolutionError, braces_mod.InvalidBraceError,
-            braces_mod.InvalidRingError) as exc:
-        _emit(args, {"ok": False, "diagnostic": str(exc)}, f"invalid: {exc}")
-        return None, 1
-
-
-def _load_involutive_solution(args):
-    """(solution, None), or (None, exit code) once the failure went to stderr."""
+    Raises _Failure with exit code 2 when the file is missing or malformed,
+    and 1 when its record is invalid, of another kind or, where `involutive`
+    is asked for, a non-involutive solution.
+    """
     try:
         record = fileio.parse_file(args.path)
-        if not isinstance(record, Solution):
-            raise ValueError("this command expects a solution file")
-        if not record.involutive:
-            raise ValueError("this command requires an involutive solution")
     except fileio.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return None, 2
+        raise _Failure(2, {"error": str(exc)}, f"parse error: {exc}") from None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 1
-    return record, None
+        raise _Failure(1, {"diagnostic": str(exc)}, f"invalid: {exc}") from None
+    if not isinstance(record, args.kinds):
+        text = _WRONG_KIND[args.kinds]
+        raise _Failure(1, {"error": text}, text)
+    if involutive and not record.involutive:
+        text = "error: this command requires an involutive solution"
+        raise _Failure(1, {"error": text}, text)
+    return record
 
 
 def cmd_verify(args) -> int:
-    record, code = _load_or_emit(args)
-    if code is not None:
-        return code
-    if isinstance(record, Solution):
-        _emit(
-            args,
-            {"ok": True, "kind": "solution", "size": record.size,
-             "involutive": record.involutive},
-            f"valid solution of size {record.size}\ninvolutive: "
-            f"{str(record.involutive).lower()}",
-        )
-        return 0
-    if isinstance(record, SkewBrace):
-        _emit(
-            args,
-            {"ok": True, "kind": "brace", "size": record.size,
-             "abelian_type": record.is_abelian_type},
-            f"valid brace of size {record.size}\nabelian type: "
-            f"{str(record.is_abelian_type).lower()}",
-        )
-        return 0
-    if isinstance(record, FiniteRing):
-        radical = braces_mod.is_radical_ring(record)
-        _emit(
-            args,
-            {"ok": True, "kind": "ring", "size": record.size, "radical": radical},
-            f"valid ring of size {record.size}\nradical: {str(radical).lower()}",
-        )
-        return 0
-    _emit(args, {"ok": False, "error": "unsupported record"}, "unsupported record")
-    return 1
+    record = _load(args)
+    kind, prop, read = _KINDS[type(record)]
+    value = read(record)
+    _emit(
+        args,
+        {"ok": True, "kind": kind, "size": record.size, prop.replace(" ", "_"): value},
+        f"valid {kind} of size {record.size}\n{prop}: {str(value).lower()}",
+    )
+    return 0
 
 
 def cmd_analyze(args) -> int:
-    record, code = _load_or_emit(args)
-    if code is not None:
-        return code
-    if isinstance(record, Solution):
-        kind, report = "solution", solutions.analyze(record).as_dict()
-    elif isinstance(record, SkewBrace):
-        kind, report = "brace", braces_mod.analyze_brace(record).as_dict()
-    else:
-        _emit(args, {"ok": False, "error": "analyze expects a solution or brace"},
-              "analyze expects a solution or brace")
-        return 1
-    _emit(args, {"ok": True, "kind": kind, **report}, _report_text(report))
+    record = _load(args)
+    analyze = solutions.analyze if isinstance(record, Solution) else braces_mod.analyze_brace
+    report = analyze(record).as_dict()
+    _emit(args, {"ok": True, "kind": _KINDS[type(record)][0], **report},
+          "\n".join(f"{k}: {str(v).lower() if isinstance(v, bool) else v}"
+                    for k, v in report.items()))
     return 0
 
 
@@ -163,10 +151,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_repr(args) -> int:
-    record, code = _load_involutive_solution(args)
-    if code is not None:
-        return code
-    gens = structgroup.affine_representation(record)
+    gens = structgroup.affine_representation(_load(args, involutive=True))
     for i, g in enumerate(gens):
         print(f"x_{i + 1}:")
         for row in g.to_matrix():
@@ -175,10 +160,7 @@ def cmd_repr(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    record, code = _load_involutive_solution(args)
-    if code is not None:
-        return code
-    growth = structgroup.ball_sizes(record, args.radius)
+    growth = structgroup.ball_sizes(_load(args, involutive=True), args.radius)
     for k, v in enumerate(growth.values):
         print(f"{k} {v}")
     if growth.truncated:
@@ -197,9 +179,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_upp(args) -> int:
-    record, code = _load_involutive_solution(args)
-    if code is not None:
-        return code
+    record = _load(args, involutive=True)
     try:
         wx = structgroup.parse_word(args.x)
         wy = structgroup.parse_word(args.y)
@@ -221,59 +201,22 @@ def cmd_upp(args) -> int:
 
 
 def cmd_brace(args) -> int:
+    """`brace solution` and `brace ring`; the other two actions are verify and analyze."""
+    record = _load(args)
+    if args.action == "solution":
+        sys.stdout.write(fileio.solution_to_text(braces_mod.associated_solution(record)))
+        return 0
+    if isinstance(record, SkewBrace):
+        convert, to_text = braces_mod.ring_from_two_sided, fileio.ring_to_text
+    else:
+        convert, to_text = braces_mod.brace_from_radical_ring, fileio.brace_to_text
     try:
-        record = fileio.parse_file(args.path)
-    except fileio.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (braces_mod.InvalidBraceError, braces_mod.InvalidRingError,
-            solutions.InvalidSolutionError) as exc:
-        if args.action == "verify":
-            print(f"invalid: {exc}")
-            return 1
+        converted = convert(record)
+    except (braces_mod.InvalidBraceError, braces_mod.InvalidRingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.action == "verify":
-        if isinstance(record, SkewBrace):
-            print(f"valid brace of size {record.size}")
-            return 0
-        print("error: not a brace file", file=sys.stderr)
-        return 1
-    if args.action == "analyze":
-        if not isinstance(record, SkewBrace):
-            print("error: not a brace file", file=sys.stderr)
-            return 1
-        print(_report_text(braces_mod.analyze_brace(record).as_dict()))
-        return 0
-    if args.action == "solution":
-        if not isinstance(record, SkewBrace):
-            print("error: not a brace file", file=sys.stderr)
-            return 1
-        sol = braces_mod.associated_solution(record)
-        sys.stdout.write(fileio.solution_to_text(sol))
-        return 0
-    if args.action == "ring":
-        if isinstance(record, SkewBrace):
-            try:
-                ring = braces_mod.ring_from_two_sided(record)
-            except braces_mod.InvalidBraceError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            sys.stdout.write(fileio.ring_to_text(ring))
-            return 0
-        if isinstance(record, FiniteRing):
-            try:
-                brace = braces_mod.brace_from_radical_ring(record)
-            except braces_mod.InvalidRingError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            sys.stdout.write(fileio.brace_to_text(brace))
-            return 0
-        print("error: ring action expects a brace or ring file", file=sys.stderr)
-        return 1
-    print(f"error: unknown brace action {args.action}", file=sys.stderr)
-    return 1
+    sys.stdout.write(to_text(converted))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,15 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="validate a solution/brace/ring file")
-    p.add_argument("path")
-    p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.set_defaults(func=cmd_verify)
+    def file_command(group, name, func, kinds, summary):
+        """A subcommand that reads one record file of the given kinds."""
+        p = group.add_parser(name, help=summary)
+        p.add_argument("path")
+        p.set_defaults(func=func, kinds=kinds)
+        return p
 
-    p = sub.add_parser("analyze", help="full report for a solution or brace")
-    p.add_argument("path")
-    p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.set_defaults(func=cmd_analyze)
+    for name, func, kinds, summary in [
+        ("verify", cmd_verify, (Solution, SkewBrace, FiniteRing),
+         "validate a solution/brace/ring file"),
+        ("analyze", cmd_analyze, (Solution, SkewBrace),
+         "full report for a solution or brace"),
+    ]:
+        p = file_command(sub, name, func, kinds, summary)
+        p.add_argument("--format", choices=["text", "structured"], default="text")
 
     p = sub.add_parser("enumerate", help="isomorph-free enumeration by size")
     p.add_argument("--size", type=int, required=True)
@@ -309,33 +258,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="write one file per class")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("repr", help="print the affine generator matrices")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_repr)
+    file_command(sub, "repr", cmd_repr, (Solution,),
+                 "print the affine generator matrices")
 
-    p = sub.add_parser("growth", help="Cayley ball sizes and a series guess")
-    p.add_argument("path")
+    p = file_command(sub, "growth", cmd_growth, (Solution,),
+                     "Cayley ball sizes and a series guess")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--guess", action="store_true")
-    p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("upp", help="unique-product falsifier on a word pair")
-    p.add_argument("path")
+    p = file_command(sub, "upp", cmd_upp, (Solution,),
+                     "unique-product falsifier on a word pair")
     p.add_argument("--x", required=True, help="word, e.g. \"1 2'\"")
     p.add_argument("--y", required=True, help="word, e.g. \"1 3'\"")
-    p.set_defaults(func=cmd_upp)
 
-    p = sub.add_parser("brace", help="brace-specific operations")
-    p.add_argument("action", choices=["verify", "analyze", "solution", "ring"])
-    p.add_argument("path")
-    p.set_defaults(func=cmd_brace)
+    actions = sub.add_parser("brace", help="brace-specific operations").add_subparsers(
+        dest="action", required=True)
+    file_command(actions, "verify", cmd_verify, (SkewBrace,), "verify, brace files only")
+    file_command(actions, "analyze", cmd_analyze, (SkewBrace,), "analyze, brace files only")
+    file_command(actions, "solution", cmd_brace, (SkewBrace,), "the associated solution")
+    file_command(actions, "ring", cmd_brace, (SkewBrace, FiniteRing),
+                 "two-sided brace <-> radical ring")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as failure:
+        if hasattr(args, "format"):
+            _emit(args, {"ok": False, **failure.payload}, failure.text)
+        else:
+            print(failure.text, file=sys.stderr)
+        return failure.code
 
 
 if __name__ == "__main__":

@@ -778,17 +778,6 @@ class CorpusStats:
     def multipermutation_fraction(self) -> float:
         return self.multipermutation / self.total if self.total else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "total": self.total,
-            "multipermutation": self.multipermutation,
-            "indecomposable": self.indecomposable,
-            "diagonal_cycle": self.diagonal_cycle,
-            "sylow_cyclic_perm_group": self.sylow_cyclic_perm_group,
-            "multipermutation_fraction": round(self.multipermutation_fraction, 4),
-        }
-
 
 def corpus_report(stream) -> CorpusStats:
     """Classify an involutive enumeration stream (iterable of Solutions)."""

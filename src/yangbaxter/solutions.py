@@ -227,42 +227,16 @@ def permutation_group(s: Solution) -> FiniteGroup:
     return groups.generate(set(s.sigma), degree=s.size)
 
 
-def _bipartition_decomposable(s: Solution) -> bool:
-    n = s.size
-    # masks over points 1..n-1; point 0 always sits in block Y
-    for mask in range(1, 1 << (n - 1)):
-        Y = [0] + [x for x in range(1, n) if ((mask >> (x - 1)) & 1) == 0]
-        Z = [x for x in range(1, n) if ((mask >> (x - 1)) & 1) == 1]
-        ok = True
-        for block in (Y, Z):
-            members = set(block)
-            for x in block:
-                for y in block:
-                    u, v = s.r(x, y)
-                    if u not in members or v not in members:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
 def is_indecomposable(s: Solution) -> bool:
     """No proper split X = Y | Z with both blocks closed under r.
 
-    Involutive solutions use transitivity of the permutation group; the
-    general case falls back on exhausting the 2^(n-1) - 1 bipartitions.
-    A singleton is indecomposable by convention.
+    That is, the group generated by the sigma_x and tau_x is transitive.
+    Let Y and Z be closed and y in Y: sigma_y(Y) lies in Y and sigma_y is
+    injective, so sigma_y(Y) = Y and sigma_y(Z) = Z.  The same holds for
+    tau and for y in Z, so both blocks are unions of orbits; conversely any
+    union of orbits is closed under r.  A singleton is indecomposable.
     """
-    if s.size == 1:
-        return True
-    if s.involutive:
-        return groups.is_transitive(set(s.sigma), s.size)
-    return not _bipartition_decomposable(s)
+    return groups.is_transitive(set(s.sigma) | set(s.tau), s.size)
 
 
 def diagonal_permutation(s: Solution) -> Perm:

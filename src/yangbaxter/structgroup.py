@@ -257,7 +257,6 @@ class SeriesGuess:
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
-    conjecture: bool = True
 
     def __str__(self) -> str:
         return f"({_poly_str(self.numerator)}) / ({_poly_str(self.denominator)})"

@@ -13,6 +13,8 @@ under a pigeonhole bound, then tau rows over forced cell domains, without
 the derived rack) are the two searches without the lex-leader prune: they
 canonicalize every leaf.  `labeled_racks` lists every rack table, and
 `derived_rack` reads a solution's rack off its tables.
+`bipartition_decomposable` is the decomposability test before it read
+transitivity: it tries every split of the points into two blocks.
 `smaller_relabeling_brute` tries every relabeling the prune may use, and
 `lex_leader_pairs` lists by it the first two sigma rows that the prune
 keeps.  The counting helpers and `orbit_sum` give the two sides of the
@@ -440,6 +442,19 @@ def derived_rack(s: solutions.Solution):
         tuple(s.sigma[u][s.tau[invert(s.sigma[x])[u]][x]] for x in range(n))
         for u in range(n)
     )
+
+
+def bipartition_decomposable(s: solutions.Solution) -> bool:
+    """Whether some split of the points into two nonempty blocks, both
+    closed under r, exists; all 2^(n-1) - 1 splits are tried."""
+    n = s.size
+    for mask in range(1, 1 << (n - 1)):
+        # point 0 always sits in the first block
+        Z = {x for x in range(1, n) if mask >> (x - 1) & 1}
+        blocks = (set(range(n)) - Z, Z)
+        if all(set(s.r(x, y)) <= block for block in blocks for x in block for y in block):
+            return True
+    return False
 
 
 def smaller_relabeling_brute(tables) -> bool:

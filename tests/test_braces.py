@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -229,6 +231,29 @@ def test_is_ideal_and_quotient(mod4_brace):
     assert not braces.is_ideal(mod4_brace, [0, 1])
     with pytest.raises(ValueError):
         braces.quotient_brace(mod4_brace, [0, 1])
+
+
+def test_quotient_is_a_homomorphic_image_on_every_ideal(brace_corpus):
+    # the cosets are read off a o I directly, numbered by least member
+    checked = 0
+    for A in (A for n in range(1, 9) for A in brace_corpus[n]):
+        for k in range(A.size):
+            for rest in combinations(range(1, A.size), k):
+                ideal = (0, *rest)
+                if not braces.is_ideal(A, ideal):
+                    continue
+                cosets = {min(A.mul[a][h] for h in ideal) for a in range(A.size)}
+                label = {least: i for i, least in enumerate(sorted(cosets))}
+                f = [label[min(A.mul[a][h] for h in ideal)] for a in range(A.size)]
+                assert all(f[A.add[a][h]] == f[a] for a in range(A.size) for h in ideal)
+                Q = braces.quotient_brace(A, ideal)
+                assert Q.size == len(cosets) == A.size // len(ideal)
+                for a in range(A.size):
+                    for b in range(A.size):
+                        assert f[A.add[a][b]] == Q.add[f[a]][f[b]]
+                        assert f[A.mul[a][b]] == Q.mul[f[a]][f[b]]
+                checked += 1
+    assert checked == 310
 
 
 # ---------------------------------------------------------------------------

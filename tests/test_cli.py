@@ -220,6 +220,8 @@ def test_upp_falsified_on_size4(capsys, sol_file):
 def test_brace_verify_and_analyze(capsys, brace_file):
     code, out, _ = run_cli(capsys, "brace", "verify", brace_file)
     assert code == 0
+    assert out == "valid brace of size 6\nabelian type: false\n"
+    assert run_cli(capsys, "verify", brace_file) == (0, out, "")
     code, out, _ = run_cli(capsys, "brace", "analyze", brace_file)
     assert code == 0
     assert "right_nilpotency: 2" in out
@@ -295,3 +297,78 @@ def test_growth_radius_4_notes_guess_needs_more(capsys, tmp_path):
     assert code == 0
     assert "4 9" in out
     assert "radius >= 5" in out
+
+
+# ---------------------------------------------------------------------------
+# one failure rule: every file subcommand on every kind of input
+
+# the inputs each subcommand accepts; it refuses the other records with exit
+# code 1, and a missing, undecodable or malformed file with exit code 2
+ACCEPTS = {
+    "verify": {"involutive", "non-involutive", "brace", "ring"},
+    "analyze": {"involutive", "non-involutive", "brace"},
+    "repr": {"involutive"},
+    "growth": {"involutive"},
+    "upp": {"involutive"},
+    "brace verify": {"brace"},
+    "brace analyze": {"brace"},
+    "brace solution": {"brace"},
+    "brace ring": {"brace", "ring"},
+}
+EXTRA_ARGS = {"growth": ["--radius", "2"], "upp": ["--x", "1 2'", "--y", "1 3'"]}
+UNREADABLE = ["missing", "undecodable", "malformed"]
+INPUTS = [*UNREADABLE, "invalid solution", "invalid brace",
+          "involutive", "non-involutive", "brace", "ring"]
+
+
+@pytest.fixture(scope="module")
+def record_files(tmp_path_factory, sol4_irr, sol_3_noninvolutive):
+    brace = braces.brace_from_radical_ring(braces.mod4_radical_ring())
+    brace_text = fileio.brace_to_text(brace)
+    assert "mul:\n0 1 2 3\n" in brace_text
+    texts = {
+        "malformed": "kind: solution\nsize: two\n",
+        "invalid solution":
+            fileio.solution_to_text(sol4_irr).replace("1 0 2 3", "1 1 2 3", 1),
+        "invalid brace": brace_text.replace("mul:\n0 1 2 3\n", "mul:\n0 1 2 2\n", 1),
+        "involutive": fileio.solution_to_text(sol4_irr),
+        "non-involutive": fileio.solution_to_text(sol_3_noninvolutive),
+        "brace": brace_text,
+        "ring": fileio.ring_to_text(braces.mod4_radical_ring()),
+    }
+    root = tmp_path_factory.mktemp("records")
+    (root / "undecodable").write_bytes(b"kind: solution\nsize: 1\n\xff\n")
+    for name, text in texts.items():
+        (root / name.replace(" ", "-")).write_text(text)
+    return {name: str(root / name.replace(" ", "-")) for name in INPUTS}
+
+
+@pytest.mark.parametrize("record", INPUTS)
+@pytest.mark.parametrize(
+    "command, structured",
+    [*((command, False) for command in ACCEPTS), ("verify", True), ("analyze", True)],
+    ids=[*ACCEPTS, "verify-structured", "analyze-structured"],
+)
+def test_exit_code_and_stream(capsys, record_files, command, structured, record):
+    argv = [*command.split(), record_files[record], *EXTRA_ARGS.get(command, [])]
+    if structured:
+        argv += ["--format", "structured"]
+    code, out, err = run_cli(capsys, *argv)
+
+    if record in ACCEPTS[command]:
+        assert (code, err) == (0, "") and out
+        return
+    assert code == (2 if record in UNREADABLE else 1)
+    # verify and analyze report a failure on stdout, the others on stderr
+    report, other = (out, err) if command in ("verify", "analyze") else (err, out)
+    assert other == "" and report.count("\n") == 1
+    if structured:
+        payload = json.loads(report)
+        assert payload["ok"] is False and payload["schema"] == 1
+        assert set(payload) == {
+            "ok", "schema", "diagnostic" if record.startswith("invalid") else "error"
+        }
+    elif record in UNREADABLE:
+        assert report.startswith("parse error: ")
+    elif record.startswith("invalid"):
+        assert report.startswith("invalid: ")

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import bipartition_decomposable
 
 from yangbaxter import groups, perms, solutions
 from yangbaxter.enumeration import EnumerationTask, enumerate_solutions
@@ -206,14 +207,14 @@ def test_indecomposability(sol4_irr):
     assert solutions.is_indecomposable(solutions.make_trivial(1))
 
 
-def test_decomposability_brute_force_agrees_on_involutive(involutive_corpus):
-    for n, classes in involutive_corpus.items():
-        if n == 1:
-            continue  # no nonempty proper bipartition exists
-        for s in classes:
-            by_transitivity = groups.is_transitive(set(s.sigma), s.size)
-            by_bipartition = not solutions._bipartition_decomposable(s)
-            assert by_transitivity == by_bipartition
+def test_decomposability_brute_force_agrees_on_all_classes():
+    # every class of sizes 2..5, involutive or not (4 + 26 + 253 + 3607)
+    checked = 0
+    for n in range(2, 6):
+        for s in enumerate_solutions(EnumerationTask(size=n, mode="all", cap=5)).classes:
+            assert solutions.is_indecomposable(s) == (not bipartition_decomposable(s))
+            checked += 1
+    assert checked == 3890
 
 
 def test_diagonal_map(sol5_mp):

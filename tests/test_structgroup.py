@@ -305,7 +305,6 @@ def test_guess_lattice_growth():
     assert guess.numerator == (1, 2, 1)
     assert guess.denominator == (1, -3, 3, -1)
     assert guess.expand(len(vals)) == list(vals)
-    assert guess.conjecture
 
 
 def test_guess_requires_six_values():

@@ -74,7 +74,9 @@ def test_import_leaves_the_process_pool_unloaded():
 
 
 @pytest.mark.parametrize(
-    "demo", ["solutions_tour.py", "braces_tour.py", "growth_and_unique_products.py"]
+    "demo",
+    ["solutions_tour.py", "braces_tour.py", "enumeration_tour.py",
+     "growth_and_unique_products.py"],
 )
 def test_demo_runs(demo):
     done = subprocess.run(
