@@ -8,7 +8,9 @@ solutions, where the identity is the cycle-set identity.  `racks(n)` lists
 the least table of each rack class, and one search, `_search`, fills the
 sigma cells one at a time on a given rack, propagating each cell set
 through the identity and the automorphism rule, which force further cells
-or fail the node.
+or fail the node.  On the trivial rack a diagonal rule fails a node too:
+the map x -> sigma_x^-1(x) of an involutive solution is a bijection, so no
+two diagonal cells may take one value.
 
 One symmetry rule (lex-leader, as in orderly generation) serves the search
 and the rack list: a node whose complete tables and first k rows some
@@ -33,6 +35,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -46,7 +49,7 @@ from .perms import relabel_table, tables_from_bytes
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 class EnumerationCapError(ValueError):
@@ -233,6 +236,19 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
     (x, u, z) with its sides swapped, so the c, d and L[c][d] positions
     repeat the a, b and L[a][b] ones and are skipped.
 
+    The diagonal rule, on the trivial rack only: a diagonal cell L[p][p]
+    set to a value that another diagonal cell holds fails the node.  For
+    an involutive solution the map x -> L[x][x] = sigma_x^-1(x), the
+    square map x.x of its cycle set, is a bijection (Rump, Adv. Math. 193
+    (2005); Etingof-Schedler-Soloviev, Duke Math. J. 100 (1999)): with
+    y = sigma_x^-1(x), r(x, y) = (x, t) for t = tau_y(x), and r(x, t) =
+    (x, y) since r o r = id, so sigma_x(t) = x, t = y and x = tau_y^-1(y):
+    y -> tau_y^-1(y) undoes the map, which is therefore injective, and
+    bijective on a finite set.  A node whose diagonal
+    repeats a value therefore has no solution below it, and the classes
+    and their leaves stay as they are.  Off the trivial rack the map is not
+    proved bijective here, and the rule does not run.
+
     Orderly generation: a node whose k complete sigma rows some relabeling
     of {0..k-1} onto itself, fixing the rack, makes strictly smaller has no
     least member below it, since every completion is beaten by the same
@@ -253,13 +269,19 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
     Rinv = [] if trivial else [invert(row) for row in rack]
     sig = [[-1] * n for _ in range(n)]
     L = [[-1] * n for _ in range(n)]  # L[x][y] = sigma_x^-1(y)
+    on_diagonal = [False] * n  # the values the diagonal cells L[x][x] hold
     trail: list[tuple[int, int]] = []  # the cells of L set so far, in order
     queue: list[tuple[int, int]] = []  # the cells set but not yet propagated
 
     def put(p: int, q: int, w: int) -> bool:
-        """Set the unknown cell L[p][q] to w, unless w is in row p already."""
+        """Set the unknown cell L[p][q] to w, unless w is in row p already
+        or, on the trivial rack, in another diagonal cell."""
         if sig[p][w] >= 0:
             return False
+        if p == q and trivial:
+            if on_diagonal[w]:
+                return False
+            on_diagonal[w] = True
         L[p][q] = w
         sig[p][w] = q
         trail.append((p, q))
@@ -381,7 +403,10 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
     def undo(mark: int) -> None:
         while len(trail) > mark:
             p, q = trail.pop()
-            sig[p][L[p][q]] = -1
+            w = L[p][q]
+            sig[p][w] = -1
+            if p == q:
+                on_diagonal[w] = False
             L[p][q] = -1
 
     rows = list(prefix)  # the complete sigma rows, for the cut
@@ -493,6 +518,17 @@ def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, 
 def _drop_queued(next_index, end: int) -> None:
     with next_index.get_lock():
         next_index.value = end
+
+
+class _Counter:
+    """The task counter of a run without a pool: a shared Value's `value`
+    and `get_lock()`, without the shared memory, whose first creation costs
+    a process about 8 ms."""
+
+    value = 0
+
+    def get_lock(self) -> nullcontext:
+        return nullcontext()
 
 
 _worker_next_index = None  # set at worker start: a shared Value cannot go into a task
@@ -614,15 +650,15 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
         # the workers take tasks one at a time from a shared counter, so a
         # heavy task never holds up others queued behind it, and the pool
         # gets one future per worker rather than one per task
-        next_index = multiprocessing.Value("i", 0)
         workers = min(task.jobs, len(args))
         if workers <= 1:
-            runs = [_run_subtrees(args, ckpt_dir, next_index)]
+            runs = [_run_subtrees(args, ckpt_dir, _Counter())]
         else:
             # imported here, by the one run that starts a pool: the module
             # costs every other process about 1.5 MB of RSS
             from concurrent.futures import ProcessPoolExecutor
 
+            next_index = multiprocessing.Value("i", 0)
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_share_next_index,

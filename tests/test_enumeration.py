@@ -4,8 +4,9 @@ import json
 import math
 import multiprocessing
 import time
-from itertools import chain, combinations, product
+from itertools import chain, combinations, count, product
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 from oracles import (
@@ -156,6 +157,16 @@ def test_involutive_leaves_are_non_degenerate(monkeypatch):
     assert totals == [1, 2, 5, 23, 88]
     assert conditions.count(None) >= sum(totals)
     assert "non-degenerate" not in conditions
+
+
+def test_diagonal_is_a_permutation_on_every_involutive_class(involutive_corpus):
+    # the theorem behind the search's diagonal rule, read off sigma, not L
+    corpus = dict(involutive_corpus)
+    if 6 not in corpus:
+        corpus[6] = run(6, "involutive").classes
+    for n in range(1, 7):
+        for s in corpus[n]:
+            assert sorted(solutions.diagonal_permutation(s)) == list(range(n)), s
 
 
 def test_involutive_mode_is_the_involutive_slice_of_all_mode():
@@ -400,7 +411,7 @@ def test_subtree_keys_are_the_lex_leader_pairs(n, involutive_corpus):
 
 
 def test_trivial_rack_task_counts_are_pinned():
-    assert [len(trivial_keys(n)) for n in range(1, 7)] == [1, 2, 8, 31, 161, 900]
+    assert [len(trivial_keys(n)) for n in range(1, 7)] == [1, 2, 7, 27, 132, 749]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -545,6 +556,18 @@ def test_checkpoint_resume(tmp_path):
     assert again.canonicals == first.canonicals
 
 
+def test_checkpoint_of_version_4_is_rejected(tmp_path):
+    # version 4 named the tasks of the search without the diagonal rule,
+    # whose positions differ
+    run(3, "involutive", checkpoint_dir=tmp_path)
+    path = enumeration._checkpoint_path(tmp_path, "involutive", 3, 0)
+    data = json.loads(path.read_text())
+    assert data["version"] == 5
+    path.write_text(json.dumps({**data, "version": 4}))
+    with pytest.raises(CheckpointMismatchError):
+        run(3, "involutive", checkpoint_dir=tmp_path)
+
+
 def test_checkpoint_mismatch_detected(tmp_path):
     run(3, "involutive", checkpoint_dir=tmp_path)
     victim = next(tmp_path.glob("*.json"))
@@ -613,13 +636,13 @@ def test_checkpoint_of_another_rack_is_rejected(tmp_path):
     assert run(3, "all", checkpoint_dir=tmp_path).canonicals == first.canonicals
 
 
-def test_time_budget_yields_partial_result_error(tmp_path):
-    # size 6 takes 1-2 s, and its first subtree, the identity rows, about a
-    # sixth of that: a budget of three times that subtree's own time lets it
-    # finish but not the run, on a slow host as on a fast one
-    start = time.monotonic()
-    search(6, trivial_keys(6)[0])
-    budget = 3 * (time.monotonic() - start)
+def test_time_budget_yields_partial_result_error(tmp_path, monkeypatch):
+    # a clock that moves one second each time it is read: the run reads it
+    # once at the start, every 4096 cells and before each task, so a budget
+    # of 100 s ends it after the listing and some tasks, on any host
+    now = count()
+    monkeypatch.setattr(enumeration, "time", SimpleNamespace(monotonic=lambda: next(now)))
+    budget = 100
     with pytest.raises(PartialResultError) as exc:
         enumerate_solutions(
             EnumerationTask(
@@ -662,7 +685,7 @@ def test_time_budget_covers_listing_the_tasks(monkeypatch):
 
 
 def test_past_deadline_stops_the_task_listing_at_its_4096th_cell():
-    # listing the tasks of size 6 propagates 48,057 cells; the run's deadline
+    # listing the tasks of size 6 propagates 37,572 cells; the run's deadline
     # stops it as it stops a search, and the run has no task done
     past = enumeration._Deadline(time.monotonic() - 1)
     with pytest.raises(enumeration.TimeBudgetExceeded):
@@ -700,17 +723,18 @@ def _search_work(tasks, monkeypatch) -> tuple[int, int]:
 
 def test_involutive_search_work_is_pinned(monkeypatch):
     # losing a propagation rule leaves the classes as they are, but not the
-    # work: without the (p, ., q) triples it is 187 tasks, 18,633 cells and
-    # 832 cuts
+    # work: without the diagonal rule it is 161 tasks, 14,883 cells and 610
+    # cuts
     tasks = enumeration.subtree_tasks(5, "involutive")
-    assert len(tasks) == 161
-    assert _search_work(tasks, monkeypatch) == (14883, 610)
+    assert len(tasks) == 132
+    assert _search_work(tasks, monkeypatch) == (8519, 573)
 
 
 def test_all_mode_search_work_is_pinned(monkeypatch):
-    # the same over the 19 racks of size 4, where every rule runs
+    # the same over the 19 racks of size 4, where every rule runs (the
+    # diagonal rule on the trivial rack only)
     tasks = [(rack, ()) for rack in enumeration.racks(4)]
-    assert _search_work(tasks, monkeypatch) == (5680, 895)
+    assert _search_work(tasks, monkeypatch) == (5235, 890)
 
 
 def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
@@ -807,6 +831,21 @@ def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatc
     assert len(started) < len(tasks)
 
 
+def test_serial_run_creates_no_shared_memory(monkeypatch):
+    created = []
+    value = multiprocessing.Value
+
+    def spy(*args, **kwargs):
+        created.append(args)
+        return value(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Value", spy)
+    assert run(4, "all", jobs=1).total == 253
+    assert created == []
+    assert run(4, "involutive", jobs=2).total == 23
+    assert created == [("i", 0)]
+
+
 def test_parallel_run_submits_one_future_per_worker(monkeypatch):
     submitted = []
 
@@ -817,7 +856,7 @@ def test_parallel_run_submits_one_future_per_worker(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     assert run(5, "involutive", jobs=2).total == 88
-    # not one future per task (161 at n = 5)
+    # not one future per task (132 at n = 5)
     assert len(submitted) == 2
 
 

@@ -31,7 +31,7 @@ ALL_6_DIGEST = "ad4a45b72ab11f2d023dd8429c7e9e29cf08acd39db334eefaacf0a5c71e6fdd
 
 
 def test_involutive_size_7(tmp_path):
-    # about a minute with 2 jobs
+    # about 20 s with 2 jobs
     result = enumerate_solutions(
         EnumerationTask(
             size=7,
