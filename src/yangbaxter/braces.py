@@ -42,12 +42,6 @@ class SkewBrace:
     add: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
 
-    def plus(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
-    def circ(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     @cached_property
     def neg(self) -> tuple[int, ...]:
         return groups.table_inverses(self.add)

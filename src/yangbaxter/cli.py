@@ -219,6 +219,18 @@ def cmd_brace(args) -> int:
     return 0
 
 
+def _int_from(low: int):
+    """The argparse type of an integer flag whose least value is low: a
+    smaller value is a usage error (exit 2), as a non-integer is."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ybx",
@@ -244,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "structured"], default="text")
 
     p = sub.add_parser("enumerate", help="isomorph-free enumeration by size")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_int_from(1), required=True)
     p.add_argument("--involutive", action="store_true")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_from(1), default=1)
     p.add_argument("--cap", type=int, default=None,
                    help="raise the default size cap for long runs")
     p.add_argument("--time-budget", type=float, default=None,
@@ -263,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = file_command(sub, "growth", cmd_growth, (Solution,),
                      "Cayley ball sizes and a series guess")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_int_from(0), required=True)
     p.add_argument("--guess", action="store_true")
 
     p = file_command(sub, "upp", cmd_upp, (Solution,),

@@ -215,9 +215,11 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
     Math. Soc. 62 (2019); Akgun-Mereb-Vendramin, Math. Comp. 91 (2022),
     enumerate through it).  `rack` is the table C[u][x] = x <| u.
 
-    With L[x][y] = sigma_x^-1(y) the row identity reads L[a][b] = L[c][d]
-    on every triple (x, u, z), where a = L[x][u], b = L[x][z],
-    c = L[u][x <| u] and d = L[u][z], and the automorphism rule reads
+    With L[x][y] = sigma_x^-1(y) and left(x, u, z) = L[a][b], where
+    a = L[x][u] and b = L[x][z], the row identity reads
+    left(x, u, z) = left(phi(x, u), z) on every triple, for the bijection
+    phi(x, u) = (u, x <| u) of pairs; its inverse is
+    phi^-1(x, u) = (R_x^-1(u), x).  The automorphism rule reads
     L[x][a <| b] = L[x][a] <| L[x][b].  On the trivial rack the identity is
     the cycle-set identity (x.u).(x.z) = (u.x).(u.z) (Rump, Adv. Math. 193
     (2005)), and the automorphism rule is empty.
@@ -225,16 +227,17 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
     The search keeps the sigma table and L, with -1 in the unknown cells, and
     fills sigma row by row: cells z = 0..n-1, values in ascending order,
     skipping the cells already forced.  Setting sigma_k(z) = v sets
-    L[k][v] = z and propagates.  Once a, b, c and d are known, a known cell
-    on one side of the identity sets the cell on the other, and a value
-    already in its row fails the node; once L[x][a] and L[x][b] are known,
-    the automorphism rule sets L[x][a <| b].  A set cell (p, q) is revisited
-    in each triple where it is a (x = p, u = q), b (x = p, z = q), c
-    (u = p, x = R_p^-1(q)), d (u = p, z = q), L[a][b] (u = sigma_x(p),
-    z = sigma_x(q)) or L[c][d] (x = R_u^-1(sigma_u(p)), z = sigma_u(q)),
-    and where it is L[x][a] or L[x][b].  On the trivial rack (u, x, z) is
-    (x, u, z) with its sides swapped, so the c, d and L[c][d] positions
-    repeat the a, b and L[a][b] ones and are skipped.
+    L[k][v] = z and propagates.  Once the inner cells of both sides are
+    known, a known side sets the unknown one, and a value already in its
+    row fails the node; once L[x][a] and L[x][b] are known, the
+    automorphism rule sets L[x][a <| b].  A set cell (p, q) is revisited in
+    each triple where it is a (x = p, u = q), b (x = p, z = q) or L[a][b]
+    (u = sigma_x(p), z = sigma_x(q)), with the other side read along phi
+    and then along phi^-1, and where it is L[x][a] or L[x][b].  Along
+    phi^-1 these three are the places c = L[u][x <| u], d = L[u][z] and
+    L[c][d] that the cell takes on the right side of a triple read along
+    phi, so every place of the cell in the identity is covered.  On the
+    trivial rack phi is the swap and its own inverse, and it is read once.
 
     The diagonal rule, on the trivial rack only: a diagonal cell L[p][p]
     set to a value that another diagonal cell holds fails the node.  For
@@ -265,10 +268,18 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
     identity = tuple(range(n))
     trivial = all(row == identity for row in rack)
     T = list(zip(*rack))  # T[x][u] = x <| u
-    # R_u^-1 as a table, read only by the rules off the trivial rack
-    Rinv = [] if trivial else [invert(row) for row in rack]
     sig = [[-1] * n for _ in range(n)]
     L = [[-1] * n for _ in range(n)]  # L[x][y] = sigma_x^-1(y)
+    # phi and then phi^-1, each as (F, S): F[x][u] is the row of L at the
+    # first coordinate of the image of (x, u), the row itself since L's
+    # rows are set in place and never replaced, and S[x][u] the second;
+    # on the trivial rack phi is the swap, its own inverse
+    maps = [([L] * n, T)]
+    if not trivial:
+        maps.append((
+            [[L[v] for v in invert(Rx)] for Rx in rack],
+            [(x,) * n for x in range(n)],
+        ))
     on_diagonal = [False] * n  # the values the diagonal cells L[x][x] hold
     trail: list[tuple[int, int]] = []  # the cells of L set so far, in order
     queue: list[tuple[int, int]] = []  # the cells set but not yet propagated
@@ -288,14 +299,6 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
         queue.append((p, q))
         return True
 
-    def tie(a: int, b: int, c: int, d: int) -> bool:
-        """Whether L[a][b] = L[c][d] holds, the unknown one set from the known."""
-        left = L[a][b]
-        right = L[c][d]
-        return left == right or (
-            put(a, b, right) if left < 0 else right < 0 and put(c, d, left)
-        )
-
     def assign(p: int, q: int, w: int) -> bool:
         """Set L[p][q] = w, sigma_p(w) = q, and every cell the rules force."""
         queue.clear()
@@ -305,86 +308,63 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
             deadline.tick()
             p, q = queue.pop()
             Lp = L[p]
-            Lq = L[q]
             w = Lp[q]
-            # the trivial rack's own loops, inlined, since its search
-            # spends most of its time in them
-            # a: (p, q, z), b = L[p][z], c = L[q][p <| q], d = L[q][z]
-            c = Lq[T[p][q]]
-            if c >= 0:
-                La = L[w]
-                Lc = L[c]
-                for z in range(n):
-                    b = Lp[z]
-                    d = Lq[z]
-                    if b >= 0 and d >= 0:
-                        left = La[b]
-                        right = Lc[d]
-                        if left != right and not (
-                            put(w, b, right) if left < 0
-                            else right < 0 and put(c, d, left)
-                        ):
-                            return False
-            # b: (p, u, q), a = L[p][u], c = L[u][p <| u], d = L[u][q]
-            Tp = T[p]
-            for u in range(n):
-                a = Lp[u]
-                if a >= 0:
-                    Lu = L[u]
-                    c = Lu[Tp[u]]
-                    d = Lu[q]
-                    if c >= 0 and d >= 0:
-                        left = L[a][w]
-                        right = L[c][d]
-                        if left != right and not (
-                            put(a, w, right) if left < 0
-                            else right < 0 and put(c, d, left)
-                        ):
-                            return False
-            # L[a][b]: (x, sigma_x(p), sigma_x(q)), so that a = p and b = q
-            for x in range(n):
-                sx = sig[x]
-                u = sx[p]
-                z = sx[q]
-                if u >= 0 and z >= 0:
-                    Lu = L[u]
-                    c = Lu[T[x][u]]
-                    d = Lu[z]
-                    if c >= 0 and d >= 0:
-                        right = L[c][d]
-                        if right != w and not (right < 0 and put(c, d, w)):
-                            return False
+            # left(x, u, z) = L[a][b] equals left(m(x, u), z) = L[c][d] for
+            # each map m; the loops are inlined, since the search spends
+            # most of its time in them
+            for F, S in maps:
+                Fp = F[p]
+                Sp = S[p]
+                # a: (p, q, z), b = L[p][z]; (s, t) = m(p, q), c = L[s][t],
+                # d = L[s][z]
+                Lm = Fp[q]
+                c = Lm[Sp[q]]
+                if c >= 0:
+                    La = L[w]
+                    Lc = L[c]
+                    for z in range(n):
+                        b = Lp[z]
+                        d = Lm[z]
+                        if b >= 0 and d >= 0:
+                            left = La[b]
+                            right = Lc[d]
+                            if left != right and not (
+                                put(w, b, right) if left < 0
+                                else right < 0 and put(c, d, left)
+                            ):
+                                return False
+                # b: (p, u, q), a = L[p][u]; (s, t) = m(p, u), c = L[s][t],
+                # d = L[s][q]
+                for u in range(n):
+                    a = Lp[u]
+                    if a >= 0:
+                        Lu = Fp[u]
+                        c = Lu[Sp[u]]
+                        d = Lu[q]
+                        if c >= 0 and d >= 0:
+                            left = L[a][w]
+                            right = L[c][d]
+                            if left != right and not (
+                                put(a, w, right) if left < 0
+                                else right < 0 and put(c, d, left)
+                            ):
+                                return False
+                # L[a][b]: (x, sigma_x(p), sigma_x(q)), so that a = p and
+                # b = q; (s, t) = m(x, u), c = L[s][t], d = L[s][z]
+                for x in range(n):
+                    sx = sig[x]
+                    u = sx[p]
+                    z = sx[q]
+                    if u >= 0 and z >= 0:
+                        Lu = F[x][u]
+                        c = Lu[S[x][u]]
+                        d = Lu[z]
+                        if c >= 0 and d >= 0:
+                            right = L[c][d]
+                            if right != w and not (right < 0 and put(c, d, w)):
+                                return False
             if trivial:
                 continue
-            # c: (R_p^-1(q), p, z), a = L[x][p], b = L[x][z], d = L[p][z]
-            Lx = L[Rinv[p][q]]
-            a = Lx[p]
-            if a >= 0:
-                for z in range(n):
-                    b = Lx[z]
-                    d = Lp[z]
-                    if b >= 0 and d >= 0 and not tie(a, b, w, d):
-                        return False
-            # d: (x, p, q), a = L[x][p], b = L[x][q], c = L[p][x <| p]
-            for x in range(n):
-                Lx = L[x]
-                a = Lx[p]
-                b = Lx[q]
-                if a >= 0 and b >= 0:
-                    c = Lp[T[x][p]]
-                    if c >= 0 and not tie(a, b, c, w):
-                        return False
-            # L[c][d]: (R_u^-1(sigma_u(p)), u, sigma_u(q)), so that c = p and d = q
-            for u in range(n):
-                su = sig[u]
-                v = su[p]
-                z = su[q]
-                if v >= 0 and z >= 0:
-                    Lx = L[Rinv[u][v]]
-                    a = Lx[u]
-                    b = Lx[z]
-                    if a >= 0 and b >= 0 and not tie(a, b, p, q):
-                        return False
             # L[x][a] and L[x][b] with x = p: L[p][q <| b] = w <| L[p][b] and
             # L[p][a <| q] = L[p][a] <| w
             Tq = T[q]

@@ -67,9 +67,6 @@ class Solution:
                     return False
         return True
 
-    def __repr__(self) -> str:
-        return f"Solution(size={self.size}, sigma={self.sigma}, tau={self.tau})"
-
 
 def diagnose(size: int, sigma, tau) -> SolutionDiagnostic | None:
     """First failing solution axiom of a candidate, or None if valid."""

@@ -172,6 +172,22 @@ def test_enumerate_cap_error(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--size", "0"),
+    ("enumerate", "--size", "3", "--jobs", "0"),
+    ("growth", "FILE", "--radius", "-1"),
+    ("enumerate", "--size", "abc"),
+])
+def test_out_of_range_flag_is_a_usage_error(capsys, sol_file, argv):
+    argv = [sol_file if arg == "FILE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err and argv[-2] in err
+    assert "Traceback" not in err
+
+
 def test_repr_prints_matrices(capsys, sol_file):
     code, out, _ = run_cli(capsys, "repr", sol_file)
     assert code == 0

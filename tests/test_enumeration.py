@@ -737,6 +737,14 @@ def test_all_mode_search_work_is_pinned(monkeypatch):
     assert _search_work(tasks, monkeypatch) == (5235, 890)
 
 
+def test_non_trivial_rack_search_work_at_size_5_is_pinned(monkeypatch):
+    # the 73 non-trivial racks of size 5 read the identity along phi and then
+    # phi^-1; read the other way round, or without phi^-1, the classes stay
+    # but the work does not: 86,417 cells, or 95,554 cells and 11,266 cuts
+    tasks = [(rack, ()) for rack in enumeration.racks(5)[1:]]
+    assert _search_work(tasks, monkeypatch) == (86363, 10966)
+
+
 def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
     # threads stand in for the worker processes so that the subtree runner
     # can be replaced: the first subtree runs out of time at once, the
