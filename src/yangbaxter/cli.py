@@ -116,7 +116,7 @@ def cmd_enumerate(args) -> int:
     try:
         result = enumeration.enumerate_solutions(task)
     except enumeration.EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc} with --cap {args.size}", file=sys.stderr)
         return 1
     except enumeration.CheckpointMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,11 +16,12 @@ One symmetry rule (lex-leader, as in orderly generation) serves the search
 and the rack list: a node whose complete tables and first k rows some
 relabeling of {0..k-1} onto itself makes strictly smaller is cut.  On a
 rack, the tables are the rack and the sigma rows, so the relabelings that
-count are the rack's automorphisms; on the trivial rack every relabeling
-is an automorphism, and the cut runs on the sigma rows alone.  The least
-member of a class is never cut, so each class reaches exactly one leaf,
-which is validated in full: on the trivial rack it is emitted as its own
-serialization, on another rack as its canonical form.
+count are the rack's automorphisms, listed once per rack; on the trivial
+rack every relabeling is an automorphism, and a branch and bound runs on
+the sigma rows alone.  The least member of a class is never cut, so each
+class reaches exactly one leaf, which is validated in full: on the trivial
+rack it is emitted as its own serialization, on another rack as its
+canonical form.
 
 A task is a rack and a prefix of sigma rows.  The search lists the tasks
 itself: stopped at depth 2 on the trivial rack, which holds the longest
@@ -44,8 +45,8 @@ from pathlib import Path
 from . import braces as braces_mod
 from . import groups, solutions
 from .braces import SkewBrace
-from .perms import Perm, all_perms, compose, has_smaller_relabeling, invert
-from .perms import relabel_table, tables_from_bytes
+from .perms import Perm, all_perms, compose, cycle_type, has_smaller_relabeling, invert
+from .perms import relabel_table, table_isomorphisms, tables_from_bytes
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
@@ -88,8 +89,8 @@ class EnumerationTask:
         cap = self.cap if self.cap is not None else DEFAULT_CAPS[self.mode]
         if self.size > cap:
             raise EnumerationCapError(
-                f"size {self.size} exceeds the {self.mode} cap {cap}; "
-                "raise cap= explicitly for a long run"
+                f"size {self.size} exceeds the {self.mode}-mode cap {cap}; "
+                "raise the cap for a long run"
             )
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -154,7 +155,7 @@ def racks(n: int) -> list[tuple[Perm, ...]]:
     that is R_z R_y R_z^-1 = R_{R_z(y)}.  The table is C[y] = R_y, so
     C[y][x] = x <| y.  Its rows are placed in order, each checked against
     the rows placed before it; a row that the placed ones force is the only
-    one tried, and the lex-leader cut of the solution search prunes the
+    one tried, and the lex-leader cut `has_smaller_relabeling` prunes the
     node.  A table that survives at k = n is its own `least_relabeling`, and
     the least table of a class is never cut.  The counts are 1, 2, 6, 19, 74
     and 353 for n = 1..6 (OEIS A181771).
@@ -196,6 +197,35 @@ def racks(n: int) -> list[tuple[Perm, ...]]:
 
     dfs(0)
     return found
+
+
+def rack_automorphisms(rack) -> list[Perm]:
+    """Aut(rack), the relabelings g with relabel_table(rack, g) == rack, in
+    lexicographic order.  An automorphism conjugates R_y to R_{g(y)}, so
+    the cycle type of a row is the key of its point."""
+    keys = [cycle_type(row) for row in rack]
+    return list(table_isomorphisms((rack,), (rack,), keys, keys))
+
+
+def _cut(rows, stabiliser) -> bool:
+    """The lex-leader cut of `_search`: whether some relabeling g with
+    g({0..k-1}) = {0..k-1} that fixes the rack makes the k complete sigma
+    rows strictly smaller.  `stabiliser` is None on the trivial rack, where
+    `has_smaller_relabeling` runs; on another rack it lists those g, as
+    (g, g^-1) pairs, the identity left out.  Relabelled, row i has entry
+    j = g[sigma_{g^-1(i)}(g^-1(j))], compared with row i up to the first
+    row that differs."""
+    if stabiliser is None:
+        return has_smaller_relabeling((rows,))
+    for g, h in stabiliser:
+        for row, x in zip(rows, h):
+            source = rows[x]
+            image = tuple([g[source[y]] for y in h])
+            if image != row:
+                if image < row:
+                    return True
+                break
+    return False
 
 
 def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) -> set:
@@ -256,13 +286,14 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
     of {0..k-1} onto itself, fixing the rack, makes strictly smaller has no
     least member below it, since every completion is beaten by the same
     relabeling; the rack is the least table of its class, so the cut on
-    (rack, rows) is that.  The least member of a class is never cut, so
-    each class reaches one leaf.  On the trivial rack every relabeling
-    fixes the rack and the cut runs on the rows alone; tau is fixed by
-    sigma there, so the leaf's own serialization is its canonical form.  On
-    another rack the leaf is canonicalized.  A prefix is a node this search
-    reached (`subtree_tasks`), past the cut, so the cut starts below it.
-    The cut runs before the depth stop, so a stopped node has passed it.
+    (rack, rows) is that (`_cut`).  The least member of a class is never
+    cut, so each class reaches one leaf.  On the trivial rack every
+    relabeling fixes the rack and the cut runs on the rows alone; tau is
+    fixed by sigma there, so the leaf's own serialization is its canonical
+    form.  On another rack the cut tries the rack's automorphisms, listed
+    once per call, and the leaf is canonicalized.  A prefix is a node this
+    search reached (`subtree_tasks`), past the cut, so the cut starts below
+    it.  The cut runs before the depth stop, so a stopped node has passed it.
     """
     found: set = set()  # classes, or the rows of the stopped nodes
     identity = tuple(range(n))
@@ -390,7 +421,14 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
             L[p][q] = -1
 
     rows = list(prefix)  # the complete sigma rows, for the cut
-    tables = (rows,) if trivial else (rack, rows)
+    # the relabelings the cut tries at each k: all of them on the trivial
+    # rack, else the rack's automorphisms that keep {0..k-1} together
+    stabilisers = [None] * (n + 1)
+    if not trivial:
+        auts = [(g, invert(g)) for g in rack_automorphisms(rack) if g != identity]
+        stabilisers = [
+            [(g, h) for g, h in auts if all(v < k for v in g[:k])] for k in range(n + 1)
+        ]
     # the prefix's cells, each one that is forced already checked against it
     for x, row in enumerate(rows):
         for z, v in enumerate(row):
@@ -398,7 +436,7 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
                 return found
 
     def dfs(k: int) -> None:
-        if k > len(prefix) and has_smaller_relabeling(tables):
+        if k > len(prefix) and _cut(rows, stabilisers[k]):
             return
         if k == stop:
             found.add(tuple(rows))

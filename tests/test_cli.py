@@ -172,6 +172,18 @@ def test_enumerate_cap_error(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--size", "5"), "size 5 exceeds the all-mode cap 4"),
+    (("--size", "7", "--involutive"), "size 7 exceeds the involutive-mode cap 6"),
+    (("--size", "7", "--cap", "6"), "size 7 exceeds the all-mode cap 6"),
+])
+def test_enumerate_cap_error_names_the_flag(capsys, argv, message):
+    # the library's message speaks of "the cap"; the command names its flag
+    code, out, err = run_cli(capsys, "enumerate", *argv, "--count-only")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}; raise the cap for a long run with --cap {argv[1]}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--size", "0"),
     ("enumerate", "--size", "3", "--jobs", "0"),

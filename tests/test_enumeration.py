@@ -48,6 +48,7 @@ from yangbaxter.perms import (
     least_relabeling,
     relabel_table,
     table_isomorphisms,
+    tables_from_bytes,
 )
 
 
@@ -296,8 +297,8 @@ def test_triple_rule_is_diagnose_on_size4_solutions_and_their_row_swaps(monkeypa
 # racks, and the rack rule: the row identity and automorphisms on a rack
 
 
-def _rack_automorphisms(C) -> int:
-    return sum(1 for g in all_perms(len(C)) if relabel_table(C, g) == C)
+def _rack_automorphisms(C) -> set:
+    return {g for g in all_perms(len(C)) if relabel_table(C, g) == C}
 
 
 @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 6), (4, 19), (5, 74)])
@@ -313,8 +314,15 @@ def test_racks_are_the_least_table_of_each_class(n, classes):
 def test_rack_count_is_the_orbit_sum(n, labeled):
     assert sum(1 for _ in labeled_racks(n)) == labeled
     assert sum(
-        math.factorial(n) // _rack_automorphisms(C) for C in enumeration.racks(n)
+        math.factorial(n) // len(_rack_automorphisms(C)) for C in enumeration.racks(n)
     ) == labeled
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rack_automorphisms_are_every_relabeling_fixing_the_rack(n):
+    for C in enumeration.racks(n):
+        auts = enumeration.rack_automorphisms(C)
+        assert len(auts) == len(set(auts)) and set(auts) == _rack_automorphisms(C), C
 
 
 @pytest.mark.parametrize("n, labeled", [(1, 1), (2, 4), (3, 66)])
@@ -356,6 +364,38 @@ def test_all_mode_labeled_count_is_the_orbit_sum(n, labeled):
     assert orbit_sum(run(n, "all").classes) == labeled
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_uncut_leaves_on_each_rack_are_the_orbit_sum(n, monkeypatch):
+    # without the cut, the search on a rack R reaches every solution whose
+    # derived rack is R itself, each at one leaf, which off the trivial rack
+    # calls canonical_form once; those of a class s are its relabelings by
+    # the coset of Aut(R) that carries s's rack to R, |Aut(R)| / |Aut(s)| of
+    # them
+    leaves = []
+    canonical = solutions.canonical_form
+
+    def counting_canonical(s):
+        leaves.append(s)
+        return canonical(s)
+
+    for rack in enumeration.racks(n)[1:]:
+        classes = search(n, (), rack=rack)
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "_cut", lambda rows, stabiliser: False)
+            m.setattr(solutions, "canonical_form", counting_canonical)
+            leaves.clear()
+            assert search(n, (), rack=rack) == classes
+        rack_aut = len(enumeration.rack_automorphisms(rack))
+        keys = [0] * n
+        orbits = 0
+        for blob in classes:
+            s = tables_from_bytes(blob, 2)
+            orbit, rem = divmod(rack_aut, sum(1 for _ in table_isomorphisms(s, s, keys, keys)))
+            assert rem == 0, blob.hex()
+            orbits += orbit
+        assert len(leaves) == orbits, rack
+
+
 # ---------------------------------------------------------------------------
 # the lex-leader prune
 
@@ -368,21 +408,22 @@ def test_lex_leader_check_matches_brute_force_on_search_nodes(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lex_leader_check_matches_brute_force_on_rack_nodes(n, monkeypatch):
-    # every (rack, first k sigma rows) the all-mode search asks about
+    # every (rack, first k sigma rows) the all-mode search asks about off
+    # the trivial rack, where the cut runs over the rack's automorphisms
     asked = []
+    cut = enumeration._cut
 
-    def spy(tables):
-        if len(tables) == 2:
-            asked.append((tables[0], tuple(tables[1])))
-        return has_smaller_relabeling(tables)
+    def spy(rows, stabiliser):
+        verdict = cut(rows, stabiliser)
+        asked.append(((rack, tuple(rows)), verdict))
+        return verdict
 
-    found = enumeration.racks(n)
-    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
-    for rack in found:
+    monkeypatch.setattr(enumeration, "_cut", spy)
+    for rack in enumeration.racks(n)[1:]:
         search(n, (), rack=rack)
     assert asked
-    for tables in asked:
-        assert has_smaller_relabeling(tables) == smaller_relabeling_brute(tables), tables
+    for tables, verdict in asked:
+        assert verdict == smaller_relabeling_brute(tables), tables
 
 
 def test_lex_leader_check_matches_brute_force_on_size5_subtree_prefixes():
@@ -504,19 +545,16 @@ def test_searches_do_not_recheck_their_subtree_key(mode, sizes, monkeypatch):
     # a task's prefix passed the cut at k = 1 and 2 when the search listed it
     tasks = [task for n in sizes for task in enumeration.subtree_tasks(n, mode)]
     asked = set()
+    cut = enumeration._cut
 
-    def spy(tables):
-        asked.add(tuple(tuple(t) for t in tables))
-        return has_smaller_relabeling(tables)
+    def spy(rows, stabiliser):
+        asked.add((rack, tuple(rows)))
+        return cut(rows, stabiliser)
 
-    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
+    monkeypatch.setattr(enumeration, "_cut", spy)
     for rack, prefix in tasks:
         search(len(rack), prefix, rack=rack)
-    prefixes = {
-        (prefix,) if rack == trivial_rack(len(rack)) else (rack, prefix)
-        for rack, prefix in tasks
-    }
-    assert asked and not prefixes & asked
+    assert asked and not set(tasks) & asked
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +747,13 @@ class CountingDeadline:
 def _search_work(tasks, monkeypatch) -> tuple[int, int]:
     """Cells propagated and lex-leader cuts asked, over (rack, prefix) tasks."""
     cuts = []
+    cut = enumeration._cut
 
-    def spy(tables):
+    def spy(rows, stabiliser):
         cuts.append(1)
-        return has_smaller_relabeling(tables)
+        return cut(rows, stabiliser)
 
-    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
+    monkeypatch.setattr(enumeration, "_cut", spy)
     deadline = CountingDeadline()
     for rack, prefix in tasks:
         search(len(rack), prefix, rack=rack, deadline=deadline)

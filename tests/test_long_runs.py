@@ -46,7 +46,7 @@ def test_involutive_size_7(tmp_path):
 
 
 def test_all_mode_size_6(tmp_path):
-    # about a minute with 2 jobs; 100,071 non-involutive classes, as in the
+    # about 30 s with 2 jobs; 100,071 non-involutive classes, as in the
     # table of Akguen-Mereb-Vendramin (Math. Comp. 91 (2022)), and the 595
     # involutive ones
     result = enumerate_solutions(
