@@ -13,6 +13,7 @@ from yangbaxter.enumeration import (
     enumerate_braces,
     enumerate_solutions,
 )
+from yangbaxter.solutions import solution_from_canonical
 
 
 def main():
@@ -38,7 +39,7 @@ def main():
     print("\ninvolutive corpus statistics:")
     for n in (2, 3, 4):
         result = enumerate_solutions(EnumerationTask(size=n, mode="involutive"))
-        stats = corpus_report(result.classes)
+        stats = corpus_report(map(solution_from_canonical, result.canonicals))
         print(f"  n={n}: {stats.total} classes, "
               f"{stats.multipermutation} multipermutation "
               f"({100 * stats.multipermutation_fraction:.0f}%), "

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import braces as braces_mod
@@ -134,19 +135,20 @@ def cmd_enumerate(args) -> int:
         print(f"total: {counts['total']}")
     if args.count_only:
         return 0
-    header = fileio.StreamHeader(size=result.size, mode=result.mode, count=result.total)
-    text = fileio.stream_to_text(header, result.classes)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    elif args.out_dir:
+    # each class is rebuilt, and so verified, just before its record is written
+    classes = (solutions.solution_from_canonical(blob) for blob in result.canonicals)
+    if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, sol in enumerate(result.classes):
+        for i, sol in enumerate(classes):
             (out_dir / f"{result.mode}-n{result.size}-{i:05d}.txt").write_text(
                 fileio.solution_to_text(sol), encoding="utf-8"
             )
-    else:
-        sys.stdout.write(text)
+        return 0
+    header = fileio.StreamHeader(size=result.size, mode=result.mode, count=result.total)
+    sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with sink as out:
+        out.writelines(fileio.stream_chunks(header, classes))
     return 0
 
 
@@ -258,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="isomorph-free enumeration by size")
     p.add_argument("--size", type=_int_from(1), required=True)
     p.add_argument("--involutive", action="store_true")
-    p.add_argument("--count-only", action="store_true")
     p.add_argument("--jobs", type=_int_from(1), default=1)
     p.add_argument("--cap", type=int, default=None,
                    help="raise the default size cap for long runs")
@@ -266,8 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget in seconds; partial results error out")
     p.add_argument("--checkpoint", default=None,
                    help="directory for resumable subtree results")
-    p.add_argument("--out", default=None, help="write one multi-record stream file")
-    p.add_argument("--out-dir", default=None, help="write one file per class")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--count-only", action="store_true")
+    output.add_argument("--out", default=None, help="write one multi-record stream file")
+    output.add_argument("--out-dir", default=None, help="write one file per class")
     p.set_defaults(func=cmd_enumerate)
 
     file_command(sub, "repr", cmd_repr, (Solution,),

@@ -38,7 +38,6 @@ import multiprocessing
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -101,11 +100,6 @@ class EnumerationResult:
     size: int
     mode: str
     canonicals: list[bytes]
-
-    @cached_property
-    def classes(self) -> list[Solution]:
-        """The classes rebuilt (and verified) from their canonical bytes, once."""
-        return [solutions.solution_from_canonical(b) for b in self.canonicals]
 
     @property
     def total(self) -> int:
@@ -177,7 +171,7 @@ def racks(n: int) -> list[tuple[Perm, ...]]:
         return True
 
     def dfs(k: int) -> None:
-        if k and has_smaller_relabeling((rows,)):
+        if k and has_smaller_relabeling(rows):
             return
         if k == n:
             found.append(tuple(rows))
@@ -216,7 +210,7 @@ def _cut(rows, stabiliser) -> bool:
     j = g[sigma_{g^-1(i)}(g^-1(j))], compared with row i up to the first
     row that differs."""
     if stabiliser is None:
-        return has_smaller_relabeling((rows,))
+        return has_smaller_relabeling(rows)
     for g, h in stabiliser:
         for row, x in zip(rows, h):
             source = rows[x]

@@ -8,6 +8,7 @@ comment.  Whatever this module writes, it parses back identically.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .braces import FiniteRing, SkewBrace, verify_brace, verify_ring
@@ -57,7 +58,9 @@ def ring_to_text(R: FiniteRing) -> str:
     return _record_text("ring", R.size, (("add", R.add), ("prod", R.prod)))
 
 
-def stream_to_text(header: StreamHeader, sols) -> str:
+def stream_chunks(header: StreamHeader, sols) -> Iterator[str]:
+    """The stream text piece by piece: the header, then one record per
+    solution, each taken from `sols` only when its record is due."""
     lines = [
         "kind: enumeration-stream",
         f"schema: {SCHEMA_VERSION}",
@@ -67,9 +70,13 @@ def stream_to_text(header: StreamHeader, sols) -> str:
     ]
     for key in sorted(header.meta):
         lines.append(f"{key}: {header.meta[key]}")
-    blocks = ["\n".join(lines) + "\n"]
-    blocks += [solution_to_text(s) for s in sols]
-    return "\n".join(blocks)
+    yield "\n".join(lines) + "\n"
+    for s in sols:
+        yield "\n" + solution_to_text(s)
+
+
+def stream_to_text(header: StreamHeader, sols) -> str:
+    return "".join(stream_chunks(header, sols))
 
 
 def _record_blocks(text: str) -> list[list[str]]:

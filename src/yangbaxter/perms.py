@@ -6,7 +6,7 @@ relabel such tables, search the isomorphisms between them, and find their
 least serialization by one branch and bound, `least_relabeling`: it gives
 the canonical forms of solutions and braces, and its early exit,
 `has_smaller_relabeling`, is the lex-leader cut of the orderly searches on
-complete tables followed by the first k rows of one more.
+the first k rows of one table.
 `tables_from_bytes` decodes the bytes.
 """
 
@@ -192,21 +192,18 @@ def least_relabeling(tables, k: int = 0) -> tuple[bytes, Perm]:
     return bytes(itertools.chain.from_iterable(best)), g or identity(n)
 
 
-def has_smaller_relabeling(tables) -> bool:
-    """Whether some relabeling g with g({0..k-1}) = {0..k-1} makes the
-    tables strictly smaller; False if the first table has no rows.
-
-    Every table is a complete n x n table on the points but the last, which
-    holds its first k rows.  Relabelled, the tables are compared in the
-    order `least_relabeling` serializes them; the last table's first k rows
-    then come from its own first k rows, since g keeps {0..k-1} together.
-    This is the lex-leader cut of the orderly searches: `least_relabeling`'s
-    search, stopped at the first entry that comes out below the tables' own.
+def has_smaller_relabeling(rows) -> bool:
+    """Whether some relabeling g with g({0..k-1}) = {0..k-1} makes `rows`,
+    the first k rows of an n x n table on the points, strictly smaller;
+    False if there are none.  Relabelled, they come from the same k rows,
+    as g keeps {0..k-1} together.  This is the lex-leader cut of the orderly
+    searches: `least_relabeling`'s search, stopped at the first entry that
+    comes out below the rows' own.
     """
-    if not tables[0]:
+    if not rows:
         return False
-    best = [list(row) for table in tables for row in table]
-    return _least(tables, len(tables[0][0]), len(tables[-1]), best, True) is not None
+    best = [list(row) for row in rows]
+    return _least((rows,), len(rows[0]), len(rows), best, True) is not None
 
 
 def _least(tables, n: int, k: int, best: list[list[int]], first: bool) -> Perm | None:
@@ -214,9 +211,8 @@ def _least(tables, n: int, k: int, best: list[list[int]], first: bool) -> Perm |
     least over the relabelings g of n points with g({0..k-1}) = {0..k-1},
     and return a g that reaches it, or None if the identity does.  With
     `first`, stop at the first partial g below the identity instead and
-    return it, -1 marking the labels not placed.  Only then may the last
-    table be short, its first k rows: a least g is not sought, so no table
-    is relabelled whole.
+    return it, -1 marking the labels not placed; only then may `tables` be
+    the first k rows of one table, as no table is relabelled whole.
 
     Branch and bound over partial relabelings, reading the serialization
     entry by entry against the best so far:
@@ -229,7 +225,6 @@ def _least(tables, n: int, k: int, best: list[list[int]], first: bool) -> Perm |
       branch over all (n-1)! labelings of its row 0;
     - once every label is placed, the remaining rows are compared whole.
     """
-    m = len(tables[0])  # rows per table; only the last may have fewer
     last = len(best)
     g = [-1] * n  # point -> label
     h = [-1] * n  # label -> point
@@ -243,7 +238,7 @@ def _least(tables, n: int, k: int, best: list[list[int]], first: bool) -> Perm |
         if j == n:
             r += 1
             while r < last:
-                t, i = divmod(r, m)
+                t, i = divmod(r, n)
                 if h[i] < 0:
                     label = i
                     r -= 1

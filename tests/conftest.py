@@ -21,6 +21,11 @@ def solution_from_cycles(n, sigma_cycles, tau_cycles):
 RUN_LONG = os.environ.get("YBX_RUN_LONG") == "1"
 
 
+def classes_of(result):
+    """The classes of an enumeration, rebuilt and verified from its canonical bytes."""
+    return [solutions.solution_from_canonical(blob) for blob in result.canonicals]
+
+
 @pytest.fixture(scope="session")
 def sol4_irr():
     """The size-4 involutive, indecomposable, irretractable solution."""
@@ -95,7 +100,7 @@ def involutive_corpus():
         result = enumerate_solutions(
             EnumerationTask(size=n, mode="involutive", jobs=2 if n >= 5 else 1)
         )
-        corpus[n] = result.classes
+        corpus[n] = classes_of(result)
     return corpus
 
 

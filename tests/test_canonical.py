@@ -14,6 +14,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import classes_of
 from oracles import labeled_braces_on_group
 
 from yangbaxter import braces, groups, solutions
@@ -57,7 +58,7 @@ def test_braces_8_digest(brace_corpus):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_solution_form_is_relabelling_invariant(data, involutive_corpus, all_4):
-    corpus = [*all_4.classes, *involutive_corpus[5]]
+    corpus = [*classes_of(all_4), *involutive_corpus[5]]
     s = data.draw(st.sampled_from(corpus))
     f = data.draw(st.permutations(range(s.size)))
     blob = solutions.canonical_form(solutions.relabel(s, f))

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -128,6 +131,52 @@ def test_enumerate_count_only_rebuilds_no_class(capsys, rebuilds):
     assert rebuilds == []
 
 
+def test_enumerate_writes_each_record_as_it_rebuilds_its_class(monkeypatch, rebuilds):
+    # at each write, the number of classes rebuilt so far: the header goes
+    # out before any, and the k-th record right after the k-th rebuild
+    seen = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            seen.append((text, len(rebuilds)))
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recording())
+    assert main(["enumerate", "--size", "3"]) == 0
+    assert [k for text, k in seen if "kind: enumeration-stream" in text] == [0]
+    records = [(text.count("kind: solution"), rebuilt)
+               for text, rebuilt in seen if "kind: solution" in text]
+    assert records == [(1, k) for k in range(1, 27)]
+
+
+# SHA-256 of the stream files of `ybx enumerate --size 4 --jobs 1` (25,364
+# bytes) and `--size 5 --involutive --jobs 2` (12,038 bytes)
+STREAM_DIGESTS = {
+    ("--size", "4", "--jobs", "1"):
+        "425abfec579669d0f41f3f4e7bb19fb6a956cffb053efef65fc129adb989537f",
+    ("--size", "5", "--involutive", "--jobs", "2"):
+        "28028aa19e543638e54e2416e5ae7c994b9059d644af4d6817869a4bfcb4f5f6",
+}
+
+
+@pytest.mark.parametrize("argv", STREAM_DIGESTS)
+def test_enumerate_stream_text_is_pinned(capsys, tmp_path, argv):
+    out = tmp_path / "stream.txt"
+    code, _, _ = run_cli(capsys, "enumerate", *argv, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_DIGESTS[argv]
+
+
+def test_enumerate_stdout_is_the_counts_then_the_stream_file(capsys, tmp_path):
+    out = tmp_path / "all-4.txt"
+    run_cli(capsys, "enumerate", "--size", "4", "--out", str(out))
+    code, stdout, _ = run_cli(capsys, "enumerate", "--size", "4")
+    assert code == 0
+    *counts, stream = stdout.split("\n", 3)
+    assert counts == ["involutive: 23", "non-involutive: 230", "total: 253"]
+    assert stream == out.read_text()
+
+
 def test_enumerate_jobs_determinism(capsys):
     code1, out1, _ = run_cli(
         capsys, "enumerate", "--size", "2", "--count-only", "--jobs", "4"
@@ -198,6 +247,23 @@ def test_out_of_range_flag_is_a_usage_error(capsys, sol_file, argv):
     assert exc.value.code == 2
     assert "usage:" in err and argv[-2] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("pair", [
+    ("--count-only", "--out", "F"),
+    ("--count-only", "--out-dir", "D"),
+    ("--out", "F", "--out-dir", "D"),
+])
+def test_two_output_flags_are_a_usage_error(capsys, tmp_path, monkeypatch, pair):
+    # the counts alone, a stream file and a file per class exclude each other
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--size", "2", *pair])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err and "not allowed with argument" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_repr_prints_matrices(capsys, sol_file):

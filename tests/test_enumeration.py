@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
+from conftest import classes_of
 from oracles import (
     brute_force_braces,
     brute_force_solutions,
@@ -134,7 +135,7 @@ def test_all_mode_counts_small():
 def test_every_emitted_solution_is_valid_and_distinct():
     result = run(3, "all")
     seen = set()
-    for s in result.classes:
+    for s in classes_of(result):
         assert solutions.diagnose(s.size, s.sigma, s.tau) is None
         cf = solutions.canonical_form(s)
         assert cf not in seen
@@ -164,7 +165,7 @@ def test_diagonal_is_a_permutation_on_every_involutive_class(involutive_corpus):
     # the theorem behind the search's diagonal rule, read off sigma, not L
     corpus = dict(involutive_corpus)
     if 6 not in corpus:
-        corpus[6] = run(6, "involutive").classes
+        corpus[6] = classes_of(run(6, "involutive"))
     for n in range(1, 7):
         for s in corpus[n]:
             assert sorted(solutions.diagonal_permutation(s)) == list(range(n)), s
@@ -174,7 +175,7 @@ def test_involutive_mode_is_the_involutive_slice_of_all_mode():
     inv = set(run(3, "involutive").canonicals)
     full = run(3, "all")
     sliced = {
-        cf for cf, s in zip(full.canonicals, full.classes) if s.involutive
+        cf for cf, s in zip(full.canonicals, classes_of(full)) if s.involutive
     }
     assert inv == sliced
 
@@ -361,7 +362,7 @@ def test_labeled_count_is_the_orbit_sum(n, labeled, involutive_corpus):
 @pytest.mark.parametrize("n, labeled", [(1, 1), (2, 4), (3, 66)])
 def test_all_mode_labeled_count_is_the_orbit_sum(n, labeled):
     assert sum(1 for _ in labeled_solutions(n)) == labeled
-    assert orbit_sum(run(n, "all").classes) == labeled
+    assert orbit_sum(classes_of(run(n, "all"))) == labeled
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -403,7 +404,7 @@ def test_uncut_leaves_on_each_rack_are_the_orbit_sum(n, monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lex_leader_check_matches_brute_force_on_search_nodes(n):
     for rows, _ in row_generator_nodes(n, [], [], depth=n):
-        assert has_smaller_relabeling((rows,)) == smaller_relabeling_brute((rows,)), rows
+        assert has_smaller_relabeling(rows) == smaller_relabeling_brute((rows,)), rows
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -435,7 +436,7 @@ def test_lex_leader_check_matches_brute_force_on_size5_subtree_prefixes():
             continue
         for p1 in perms:
             expected = smaller_relabeling_brute(([p0, p1],))
-            assert has_smaller_relabeling(([p0, p1],)) == expected, (p0, p1)
+            assert has_smaller_relabeling([p0, p1]) == expected, (p0, p1)
             cut += expected
     assert cut > 0
 
@@ -471,7 +472,7 @@ def test_canonical_members_lie_in_subtrees():
     for n in range(1, 5):
         pairs, keys = set(lex_leader_pairs(n)), set(trivial_keys(n))
         full = run(n, "all")
-        for blob, s in zip(full.canonicals, full.classes):
+        for blob, s in zip(full.canonicals, classes_of(full)):
             assert first_rows(blob, n) in (keys if s.involutive else pairs), blob.hex()
 
 
@@ -572,10 +573,10 @@ def test_cap_enforced_and_overridable():
 
 def test_filters():
     # the run keeps every class; decomposability and level are read off them
-    classes = run(4, "involutive").classes
+    classes = classes_of(run(4, "involutive"))
     inde = [s for s in classes if solutions.is_indecomposable(s)]
     assert (len(inde), len(classes) - len(inde)) == (5, 18)
-    mp = [s for s in run(3, "involutive").classes
+    mp = [s for s in classes_of(run(3, "involutive"))
           if solutions.multipermutation_level(s) is not None]
     assert len(mp) == 5
 
@@ -638,7 +639,7 @@ def _damaged_checkpoint(fault):
         )
     else:  # a valid canonical class, but not involutive
         full = run(3, "all")
-        blob = next(b for b, s in zip(full.canonicals, full.classes) if not s.involutive)
+        blob = next(b for b, s in zip(full.canonicals, classes_of(full)) if not s.involutive)
     return {**header, "classes": [blob.hex()]}
 
 
@@ -997,7 +998,7 @@ def test_enumerate_braces_canonicalizes_each_class_once(brace_calls):
 
 
 def test_corpus_report_n2():
-    stats = corpus_report(run(2, "involutive").classes)
+    stats = corpus_report(classes_of(run(2, "involutive")))
     assert stats.total == 2
     assert stats.multipermutation == 2
     assert stats.multipermutation_fraction == 1.0

@@ -10,6 +10,7 @@ import hashlib
 import os
 
 import pytest
+from conftest import classes_of
 from oracles import labeled_involutive_count, orbit_sum
 
 from yangbaxter.enumeration import EnumerationTask, enumerate_solutions
@@ -67,4 +68,4 @@ def test_all_mode_size_6(tmp_path):
 def test_labeled_count_is_the_orbit_sum_size_5():
     result = enumerate_solutions(EnumerationTask(size=5, mode="involutive", jobs=2))
     assert labeled_involutive_count(5) == 2640
-    assert orbit_sum(result.classes) == 2640
+    assert orbit_sum(classes_of(result)) == 2640

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import classes_of
 from oracles import bipartition_decomposable
 
 from yangbaxter import groups, perms, solutions
@@ -211,7 +212,7 @@ def test_decomposability_brute_force_agrees_on_all_classes():
     # every class of sizes 2..5, involutive or not (4 + 26 + 253 + 3607)
     checked = 0
     for n in range(2, 6):
-        for s in enumerate_solutions(EnumerationTask(size=n, mode="all", cap=5)).classes:
+        for s in classes_of(enumerate_solutions(EnumerationTask(size=n, mode="all", cap=5))):
             assert solutions.is_indecomposable(s) == (not bipartition_decomposable(s))
             checked += 1
     assert checked == 3890
@@ -310,7 +311,7 @@ def all_mode_up_to_3():
     return [
         s
         for n in range(1, 4)
-        for s in enumerate_solutions(EnumerationTask(size=n, mode="all")).classes
+        for s in classes_of(enumerate_solutions(EnumerationTask(size=n, mode="all")))
     ]
 
 
@@ -419,7 +420,7 @@ def test_diagnose_fuzz_against_literal_checker():
             sigma = tuple(rng.choice(pool) for _ in range(n))
             tau = tuple(rng.choice(pool) for _ in range(n))
             check(n, sigma, tau)
-    for s in enumerate_solutions(EnumerationTask(size=3, mode="all")).classes:
+    for s in classes_of(enumerate_solutions(EnumerationTask(size=3, mode="all"))):
         check(s.size, s.sigma, s.tau)
         for _ in range(10):
             fams = [list(s.sigma), list(s.tau)]
