@@ -115,13 +115,19 @@ def cmd_enumerate(args) -> int:
         checkpoint_dir=args.checkpoint,
     )
     try:
+        # an unwritable output path fails before the search; appending leaves
+        # an existing --out file whole if the run fails later
+        if args.out:
+            open(args.out, "a").close()
+        if args.out_dir:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         result = enumeration.enumerate_solutions(task)
+    except (OSError, enumeration.CheckpointMismatchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except enumeration.EnumerationCapError as exc:
         print(f"error: {exc} with --cap {args.size}", file=sys.stderr)
         return 1
-    except enumeration.CheckpointMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except enumeration.PartialResultError as exc:
         print(f"error: partial result: {exc}", file=sys.stderr)
         return 1
@@ -138,10 +144,8 @@ def cmd_enumerate(args) -> int:
     # each class is rebuilt, and so verified, just before its record is written
     classes = (solutions.solution_from_canonical(blob) for blob in result.canonicals)
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for i, sol in enumerate(classes):
-            (out_dir / f"{result.mode}-n{result.size}-{i:05d}.txt").write_text(
+            (Path(args.out_dir) / f"{result.mode}-n{result.size}-{i:05d}.txt").write_text(
                 fileio.solution_to_text(sol), encoding="utf-8"
             )
         return 0

@@ -47,8 +47,8 @@ def test_involutive_5_digest(involutive_corpus):
 
 
 def test_braces_8_digest(brace_corpus):
-    # enumerate_braces decodes each class from its brace_canonical_form bytes,
-    # so serializing the tables gives those bytes back
+    # enumerate_braces keeps each class in its brace_canonical_form
+    # labelling, so serializing the tables gives those bytes
     forms = [bytes(v for t in (A.add, A.mul) for row in t for v in row)
              for A in brace_corpus[8]]
     assert len(set(forms)) == 47

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from yangbaxter import braces, fileio, groups, solutions
+from yangbaxter import braces, enumeration, fileio, groups, solutions
 from yangbaxter.cli import main
 
 
@@ -264,6 +264,35 @@ def test_two_output_flags_are_a_usage_error(capsys, tmp_path, monkeypatch, pair)
     assert "usage:" in err and "not allowed with argument" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--out-dir", "--checkpoint"])
+def test_enumerate_unwritable_path_is_an_io_error(capsys, tmp_path, monkeypatch, flag):
+    # a path below a regular file can be neither opened nor made, even as root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    searches = []
+    search = enumeration.enumerate_solutions
+
+    def spy(task):
+        searches.append(task)
+        return search(task)
+
+    monkeypatch.setattr(enumeration, "enumerate_solutions", spy)
+    code, _, err = run_cli(capsys, "enumerate", "--size", "2", flag, str(blocker / "x"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if flag != "--checkpoint":
+        assert searches == []
+
+
+def test_enumerate_failed_run_leaves_the_out_file_whole(capsys, tmp_path):
+    out = tmp_path / "stream.txt"
+    out.write_text("kept\n")
+    code, _, _ = run_cli(capsys, "enumerate", "--size", "9", "--out", str(out))
+    assert code == 1
+    assert out.read_text() == "kept\n"
 
 
 def test_repr_prints_matrices(capsys, sol_file):

@@ -935,7 +935,10 @@ def test_emitted_braces_verify_and_are_distinct(brace_corpus):
         forms = set()
         for A in classes:
             assert braces.diagnose_brace(A.add, A.mul) is None
-            forms.add(braces.brace_canonical_form(A))
+            form = braces.brace_canonical_form(A)
+            # each class is stored in its canonical labelling
+            assert form == bytes(chain.from_iterable(A.add + A.mul))
+            forms.add(form)
         assert len(forms) == len(classes)
 
 
@@ -947,15 +950,18 @@ def brace_automorphism_count(A) -> int:
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_brace_orbit_identity(n):
-    """Labeled braces on G = sum of |Aut(G)| / |Aut(A)| over the classes A
-    found on G; the representatives' Aut(G)-orbits are the labeled set, and
-    no two representatives are isomorphic."""
+    """Labeled braces on G's least table = sum of |Aut(G)| / |Aut(A)| over
+    the classes A kept on G; the representatives' Aut(G)-orbits are the
+    labeled set, and no two representatives are isomorphic."""
     labeled_counts, class_counts = [], []
     for G in groups.groups_of_order(n):
-        auts = groups.automorphisms(G)
-        labeled = [A.mul for A in labeled_braces_on_group(G)]
-        reps = enumeration._braces_on_group(G)
-        assert all(A.add == G.table for A in reps)
+        form, g = least_relabeling((G.table,), 1)
+        least = groups.from_table(relabel_table(G.table, g))
+        auts = groups.automorphisms(least)
+        labeled = [A.mul for A in labeled_braces_on_group(least)]
+        reps = [braces.verify_brace(*pair) for pair in enumeration._braces_on_group(G)]
+        assert all(A.add == least.table for A in reps)
+        assert all(bytes(chain.from_iterable(A.add)) == form for A in reps)
         assert sum(len(auts) // brace_automorphism_count(A) for A in reps) == len(labeled)
         assert {relabel_table(A.mul, phi) for A in reps for phi in auts} == set(labeled)
         for i, A in enumerate(reps):
@@ -987,10 +993,10 @@ def brace_calls(monkeypatch):
     return calls
 
 
-def test_enumerate_braces_canonicalizes_each_class_once(brace_calls):
+def test_enumerate_braces_verifies_each_class_once(brace_calls):
     assert len(enumerate_braces(8)) == 47
-    # one verify per representative, one per rebuild from its canonical bytes
-    assert brace_calls == {"canonical": 47, "verify": 47 + 47}
+    # the kept braces are their own canonical forms: one verify per class
+    assert brace_calls == {"canonical": 0, "verify": 47}
 
 
 # ---------------------------------------------------------------------------
