@@ -100,14 +100,16 @@ def _parse_block(lines: list[str]):
     tables: dict[str, list[tuple[int, ...]]] = {}
     section: str | None = None
     for line in lines:
-        if ":" in line and not line.split(":", 1)[1].strip() and not line[0].isdigit():
-            section = line.split(":", 1)[0].strip()
-            tables[section] = []
-            continue
         if ":" in line and not line[0].isdigit():
             key, value = (part.strip() for part in line.split(":", 1))
-            meta[key] = value
-            section = None
+            if key in meta or key in tables:
+                raise ParseError(f"repeated key or section {key!r}")
+            if value:
+                meta[key] = value
+                section = None
+            else:
+                section = key
+                tables[section] = []
             continue
         if section is None:
             raise ParseError(f"table row outside any section: {line!r}")

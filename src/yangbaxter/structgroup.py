@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
 from .perms import Perm, compose, identity as identity_perm, invert
 from .solutions import Solution
@@ -133,46 +133,51 @@ def ball_sizes(
     generating set; values[k] counts elements at distance <= k.  Exceeding
     `max_elements` returns the computed prefix flagged as truncated.
 
-    The search (`_keyed_bfs_sizes`) is `_bfs_sizes` on one int per element
-    (p, t) instead of one `AffineElement` per product.  The key of (p, t)
-    is code(t) * n! + id(p): id(p) < n! is handed out the first time p is
-    reached, and code(t) = sum t_i * B^i in the balanced base
-    B = 2 * radius + 1.  Every move shifts by a signed unit vector (the
-    generators by e_i, their inverses by -e_j; checked on the moves), so each
-    step moves t by one unit vector and |t_i| <= radius inside the ball: the
-    digits stay in range and the key determines the whole pair (p, t), not
-    t alone.  (p, t) * (q, +-e_j) = (pq, t +- e_{p(j)}), so for a fixed p and
-    move the key changes by a constant; each reached permutation keeps one
-    row of 2n key deltas and a level is expanded in batches of keys sharing
-    p.  |seen| only grows, so checking the cap at the end of a level
-    truncates exactly where `_bfs_sizes` does.
+    The search (`_keyed_bfs_sizes`) is `_bfs_sizes` holding two spheres, not
+    the ball.  In an undirected graph a neighbour of the sphere at distance k
+    lies at distance k - 1, k or k + 1, so sphere k + 1 is the neighbourhood
+    of sphere k less spheres k and k - 1, and each ball size is a running
+    sum: memory scales with two spheres.  A sphere maps the id of each
+    permutation p in it (handed out the first time p is reached) to the set
+    of codes of the t with (p, t) in it, code(t) = sum t_i * B^i in the
+    balanced base B = 2 * radius + 1.  Every move shifts by a signed unit
+    vector (the generators by e_i, their inverses by -e_j; checked on the
+    moves), so each step moves t by one unit vector and |t_i| <= radius
+    inside the ball: the digits stay in range and (id(p), code(t)) determines
+    the whole pair (p, t), not t alone.  (p, t) * (q, +-e_j) =
+    (pq, t +- e_{p(j)}), so a move sends all codes of p to pq shifted by one
+    constant, and each reached permutation keeps one (target id, code shift)
+    pair per move.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    gens = affine_representation(s)
-    moves = gens + [g.inverse() for g in gens]
-    return GrowthResult(*_keyed_bfs_sizes(s.size, moves, radius, max_elements))
+    return GrowthResult(
+        *_keyed_bfs_sizes(s.size, affine_representation(s), radius, max_elements)
+    )
 
 
-def _keyed_bfs_sizes(n: int, moves, radius: int, max_elements: int):
-    """`_bfs_sizes` from the identity of Z^n x Sym(n), on integer keys.
+def _keyed_bfs_sizes(n: int, gens, radius: int, max_elements: int):
+    """`_bfs_sizes` from the identity of Z^n x Sym(n) on `gens` and their
+    inverses, two spheres at a time.
 
-    Every move must be an `AffineElement` whose shift is a signed unit
-    vector; the key encoding of `ball_sizes` is exact only then.
+    The inverses are added here, since the two-sphere rule of `ball_sizes`
+    holds only on an undirected graph.  Every generator must be an
+    `AffineElement` whose shift is a signed unit vector; the code encoding is
+    exact only then.
     """
     steps = []  # (perm, coordinate, sign) of each move's shift
-    for m in moves:
+    for m in gens + [g.inverse() for g in gens]:
         shift = [(j, v) for j, v in enumerate(m.trans_part) if v]
         if len(shift) != 1 or shift[0][1] not in (1, -1):
             raise ValueError(f"move shift {m.trans_part} is not a signed unit vector")
         steps.append((m.perm_part, *shift[0]))
     base = 2 * radius + 1
-    modulus = factorial(n)
     perms = [identity_perm(n)]
     ids = {perms[0]: 0}
-    deltas: dict[int, list[int]] = {}  # perm id -> key delta of each move
+    deltas: dict[int, list[tuple[int, int]]] = {}  # perm id -> its delta_row
 
-    def delta_row(pid: int) -> list[int]:
+    def delta_row(pid: int) -> list[tuple[int, int]]:
+        """(target perm id, code shift) of each move from perm id `pid`."""
         p = perms[pid]
         row = []
         for q, j, sign in steps:
@@ -180,27 +185,27 @@ def _keyed_bfs_sizes(n: int, moves, radius: int, max_elements: int):
             qid = ids.setdefault(pq, len(perms))
             if qid == len(perms):
                 perms.append(pq)
-            row.append(sign * base ** p[j] * modulus + qid - pid)
+            row.append((qid, sign * base ** p[j]))
         return row
 
-    seen = {0}
-    frontier = {0: [0]}  # perm id -> keys of the last level
+    prev: dict[int, set[int]] = {}
+    sphere = {0: {0}}  # perm id -> codes of the last sphere
     sizes = [1]
     for _ in range(radius):
-        new = set()
-        for pid, keys in frontier.items():
+        new: dict[int, set[int]] = {}
+        for pid, codes in sphere.items():
             if pid not in deltas:
                 deltas[pid] = delta_row(pid)
-            for d in deltas[pid]:
-                new.update([k + d for k in keys])
-        new -= seen
-        seen |= new
-        if len(seen) > max_elements:
+            for qid, shift in deltas[pid]:
+                new.setdefault(qid, set()).update(map(shift.__add__, codes))
+        for qid, codes in new.items():
+            codes -= sphere.get(qid, set())
+            codes -= prev.get(qid, set())
+        size = sizes[-1] + sum(map(len, new.values()))
+        if size > max_elements:
             return tuple(sizes), True
-        sizes.append(len(seen))
-        frontier = {}
-        for k in new:
-            frontier.setdefault(k % modulus, []).append(k)
+        sizes.append(size)
+        prev, sphere = sphere, new
     return tuple(sizes), False
 
 

@@ -58,6 +58,25 @@ def test_parse_propagates_validation_failure():
         fileio.parse_text(bad)
 
 
+def test_parse_rejects_a_repeated_section():
+    # the first sigma block is invalid; a later valid one must not replace it
+    text = "kind: solution\nsize: 2\nsigma:\n9 9\n9 9\nsigma:\n0 1\n0 1\ntau:\n0 1\n0 1\n"
+    with pytest.raises(ParseError, match="'sigma'"):
+        fileio.parse_text(text)
+
+
+def test_parse_rejects_a_repeated_size():
+    text = "kind: solution\nsize: 5\nsize: 2\nsigma:\n0 1\n0 1\ntau:\n0 1\n0 1\n"
+    with pytest.raises(ParseError, match="'size'"):
+        fileio.parse_text(text)
+
+
+def test_parse_rejects_a_repeated_kind(sol4_irr):
+    text = "kind: brace\n" + fileio.solution_to_text(sol4_irr)
+    with pytest.raises(ParseError, match="'kind'"):
+        fileio.parse_text(text)
+
+
 def test_comments_and_blank_lines_ignored(sol4_irr):
     text = "# a comment\n" + fileio.solution_to_text(sol4_irr)
     assert fileio.parse_text(text) == sol4_irr

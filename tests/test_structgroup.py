@@ -3,7 +3,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from yangbaxter import solutions
@@ -173,9 +173,13 @@ def lattice_ball(n, k):
 
 def affine_bfs(s, radius, max_elements=2_000_000):
     """The ball search on one AffineElement per product: the oracle."""
-    gens = affine_representation(s)
+    return affine_bfs_on_gens(s.size, affine_representation(s), radius, max_elements)
+
+
+def affine_bfs_on_gens(n, gens, radius, max_elements):
+    """`affine_bfs` on any generators, with their inverses added."""
     moves = gens + [g.inverse() for g in gens]
-    return _bfs_sizes(AffineElement.identity(s.size), moves, radius, max_elements)
+    return _bfs_sizes(AffineElement.identity(n), moves, radius, max_elements)
 
 
 def test_ball_sizes_matches_affine_bfs_on_small_classes(involutive_corpus):
@@ -209,33 +213,41 @@ def test_ball_sizes_cap_matches_affine_bfs(sol4_irr, cap, values, truncated):
 
 
 @st.composite
-def unit_shift_moves(draw):
+def unit_shift_gens(draw):
     """Affine elements of Z^n x Sym(n) whose shifts are signed unit vectors."""
     n = draw(st.integers(1, 4))
-    moves = []
+    gens = []
     for _ in range(draw(st.integers(1, 5))):
         perm = tuple(draw(st.permutations(range(n))))
         shift = [0] * n
         shift[draw(st.integers(0, n - 1))] = draw(st.sampled_from((1, -1)))
-        moves.append(AffineElement(perm, tuple(shift)))
-    return n, moves
+        gens.append(AffineElement(perm, tuple(shift)))
+    return n, gens
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=unit_shift_moves(), radius=st.integers(0, 4), cap=st.integers(0, 300))
+@given(case=unit_shift_gens(), radius=st.integers(0, 4), cap=st.integers(0, 300))
+# without the inverses a neighbour of a sphere can lie two spheres back, which
+# the two-sphere search would count again
+@example(
+    case=(3, [AffineElement((0, 1, 2), (0, 0, 1)), AffineElement((1, 0, 2), (0, 0, -1))]),
+    radius=4,
+    cap=14,
+)
 def test_keyed_search_matches_affine_bfs_on_any_unit_moves(case, radius, cap):
-    # arbitrary moves need not give an injective translation part, so this
-    # fails if the search deduplicated on t alone
-    n, moves = case
-    want = _bfs_sizes(AffineElement.identity(n), moves, radius, cap)
-    assert _keyed_bfs_sizes(n, moves, radius, cap) == want
+    # arbitrary generators need not give an injective translation part, so
+    # this fails if the search deduplicated on t alone
+    n, gens = case
+    want = affine_bfs_on_gens(n, gens, radius, cap)
+    assert _keyed_bfs_sizes(n, gens, radius, cap) == want
 
 
 def test_keyed_search_deduplicates_on_the_whole_element():
-    # both moves shift by e_0; only the permutation tells the products apart
-    moves = [AffineElement((1, 0), (1, 0)), AffineElement((0, 1), (1, 0))]
-    want = _bfs_sizes(AffineElement.identity(2), moves, 3, 100)
-    assert _keyed_bfs_sizes(2, moves, 3, 100) == want == ((1, 3, 7, 13), False)
+    # both generators shift by e_0; only the permutation tells the products
+    # apart (a search on t alone reads (1, 4, 9, 16, 25))
+    gens = [AffineElement((1, 0), (1, 0)), AffineElement((0, 1), (1, 0))]
+    want = affine_bfs_on_gens(2, gens, 4, 100)
+    assert _keyed_bfs_sizes(2, gens, 4, 100) == want == ((1, 5, 15, 33, 59), False)
 
 
 def test_keyed_search_rejects_other_shifts():

@@ -32,17 +32,29 @@ def test_every_traced_function_exists():
         assert callable(found), f"yangbaxter.{module}.{attr} is gone"
 
 
-def test_traced_all_mode_run_reads_its_tasks():
-    # the per-layer task count and listing time cover all mode too
+def _traced_run(workload: str) -> dict:
+    """One 1 s traced perfbench run of `workload` that passed its checks."""
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all-4",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0
+    return result
+
+
+def test_traced_all_mode_run_reads_its_tasks():
+    # the per-layer task count and listing time cover all mode too
+    result = _traced_run("all-4")
     assert result["metrics"]["enumeration.subtrees"]["value"] > 0
+
+
+def test_traced_growth_run_passes_its_checks():
+    # the ball search against perfbench's lattice-ball and relabeling checks
+    result = _traced_run("growth")
+    assert result["metrics"]["structgroup.ball_elements"]["value"] > 0
 
 
 def _src_env() -> dict:
