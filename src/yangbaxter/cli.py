@@ -225,15 +225,15 @@ def cmd_brace(args) -> int:
     return 0
 
 
-def _int_from(low: int):
-    """The argparse type of an integer flag whose least value is low: a
-    smaller value is a usage error (exit 2), as a non-integer is."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+def _number_from(low, kind=int):
+    """The argparse type of a numeric flag whose least value is low: a
+    smaller value or NaN is a usage error (exit 2), as a non-number is."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type: "invalid int value"
     return parse
 
 
@@ -262,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "structured"], default="text")
 
     p = sub.add_parser("enumerate", help="isomorph-free enumeration by size")
-    p.add_argument("--size", type=_int_from(1), required=True)
+    p.add_argument("--size", type=_number_from(1), required=True)
     p.add_argument("--involutive", action="store_true")
-    p.add_argument("--jobs", type=_int_from(1), default=1)
+    p.add_argument("--jobs", type=_number_from(1), default=1)
     p.add_argument("--cap", type=int, default=None,
                    help="raise the default size cap for long runs")
-    p.add_argument("--time-budget", type=float, default=None,
+    p.add_argument("--time-budget", type=_number_from(0, float), default=None,
                    help="wall-clock budget in seconds; partial results error out")
     p.add_argument("--checkpoint", default=None,
                    help="directory for resumable subtree results")
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = file_command(sub, "growth", cmd_growth, (Solution,),
                      "Cayley ball sizes and a series guess")
-    p.add_argument("--radius", type=_int_from(0), required=True)
+    p.add_argument("--radius", type=_number_from(0), required=True)
     p.add_argument("--guess", action="store_true")
 
     p = file_command(sub, "upp", cmd_upp, (Solution,),

@@ -12,16 +12,17 @@ or fail the node.  On the trivial rack a diagonal rule fails a node too:
 the map x -> sigma_x^-1(x) of an involutive solution is a bijection, so no
 two diagonal cells may take one value.
 
-One symmetry rule (lex-leader, as in orderly generation) serves the search
-and the rack list: a node whose complete tables and first k rows some
-relabeling of {0..k-1} onto itself makes strictly smaller is cut.  On a
-rack, the tables are the rack and the sigma rows, so the relabelings that
-count are the rack's automorphisms, listed once per rack; on the trivial
-rack every relabeling is an automorphism, and a branch and bound runs on
-the sigma rows alone.  The least member of a class is never cut, so each
-class reaches exactly one leaf, which is validated in full: on the trivial
-rack it is emitted as its own serialization, on another rack as its
-canonical form.
+One symmetry rule (lex-leader, as in orderly generation) serves the
+searches, and one routine, `perms.has_smaller_relabeling`, decides it: a
+node whose complete tables and first k rows some relabeling of {0..k-1}
+onto itself makes strictly smaller is cut.  On a rack, the tables are the
+rack and the sigma rows, so the relabelings that count are the rack's
+automorphisms, listed once per rack and tried one by one; on the trivial
+rack every relabeling is an automorphism, and the routine's branch and
+bound runs on the sigma rows alone.  The least member of a class is never
+cut, so each class reaches exactly one leaf, which is validated in full:
+on the trivial rack it is emitted as its own serialization, on another
+rack as its canonical form.
 
 A task is a rack and a prefix of sigma rows.  The search lists the tasks
 itself: stopped at depth 2 on the trivial rack, which holds the longest
@@ -93,6 +94,8 @@ class EnumerationTask:
             )
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError(f"time budget must be at least 0 s, got {self.time_budget}")
 
 
 @dataclass
@@ -201,27 +204,6 @@ def rack_automorphisms(rack) -> list[Perm]:
     return list(table_isomorphisms((rack,), (rack,), keys, keys))
 
 
-def _cut(rows, stabiliser) -> bool:
-    """The lex-leader cut of `_search`: whether some relabeling g with
-    g({0..k-1}) = {0..k-1} that fixes the rack makes the k complete sigma
-    rows strictly smaller.  `stabiliser` is None on the trivial rack, where
-    `has_smaller_relabeling` runs; on another rack it lists those g, as
-    (g, g^-1) pairs, the identity left out.  Relabelled, row i has entry
-    j = g[sigma_{g^-1(i)}(g^-1(j))], compared with row i up to the first
-    row that differs."""
-    if stabiliser is None:
-        return has_smaller_relabeling(rows)
-    for g, h in stabiliser:
-        for row, x in zip(rows, h):
-            source = rows[x]
-            image = tuple([g[source[y]] for y in h])
-            if image != row:
-                if image < row:
-                    return True
-                break
-    return False
-
-
 def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) -> set:
     """Canonical forms of the classes with derived rack `rack` whose least
     (rack, sigma) member lies below prefix, a sequence of sigma rows; with
@@ -280,12 +262,13 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
     of {0..k-1} onto itself, fixing the rack, makes strictly smaller has no
     least member below it, since every completion is beaten by the same
     relabeling; the rack is the least table of its class, so the cut on
-    (rack, rows) is that (`_cut`).  The least member of a class is never
-    cut, so each class reaches one leaf.  On the trivial rack every
-    relabeling fixes the rack and the cut runs on the rows alone; tau is
-    fixed by sigma there, so the leaf's own serialization is its canonical
-    form.  On another rack the cut tries the rack's automorphisms, listed
-    once per call, and the leaf is canonicalized.  A prefix is a node this
+    (rack, rows) is that, and `has_smaller_relabeling` decides it.  The
+    least member of a class is never cut, so each class reaches one leaf.
+    On the trivial rack every relabeling fixes the rack, and the routine's
+    branch and bound runs on the rows alone; tau is fixed by sigma there,
+    so the leaf's own serialization is its canonical form.  On another rack
+    it tries the listed automorphisms of the rack that keep {0..k-1}
+    together, and the leaf is canonicalized.  A prefix is a node this
     search reached (`subtree_tasks`), past the cut, so the cut starts below
     it.  The cut runs before the depth stop, so a stopped node has passed it.
     """
@@ -430,7 +413,7 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
                 return found
 
     def dfs(k: int) -> None:
-        if k > len(prefix) and _cut(rows, stabilisers[k]):
+        if k > len(prefix) and has_smaller_relabeling(rows, stabilisers[k]):
             return
         if k == stop:
             found.add(tuple(rows))
@@ -738,10 +721,11 @@ def _braces_on_group(G: groups.FiniteGroup) -> list[tuple]:
     lambda_{a o b} for the pairs it completes, and the forced values are
     followed in turn.  A completed map is kept only when no automorphism
     relabels its `mul` to a smaller one (orderly generation, Read, Ann.
-    Discrete Math. 2 (1978)); the search is complete, so each orbit keeps
-    its least member.  That pair is its own `brace_canonical_form`: add is
-    serialized first, and the relabelings fixing 0 that keep it least are
-    its automorphisms.
+    Discrete Math. 2 (1978)), which `has_smaller_relabeling` decides over
+    the listed non-identity automorphisms; the search is complete, so each
+    orbit keeps its least member.  That pair is its own
+    `brace_canonical_form`: add is serialized first, and the relabelings
+    fixing 0 that keep it least are its automorphisms.
     """
     n = G.order
     table = relabel_table(G.table, least_relabeling((G.table,), 1)[1])
@@ -753,6 +737,7 @@ def _braces_on_group(G: groups.FiniteGroup) -> list[tuple]:
         [aut_index[compose(p, q)] for q in auts] for p in auts
     ]
     ident_idx = aut_index[tuple(range(n))]
+    pairs = [(g, invert(g)) for i, g in enumerate(auts) if i != ident_idx]
     assign: list[int | None] = [None] * n
     assign[0] = ident_idx
     out: list[tuple] = []
@@ -785,7 +770,7 @@ def _braces_on_group(G: groups.FiniteGroup) -> list[tuple]:
             a = assign.index(None)
         except ValueError:
             mul = tuple(tuple(table[a][x] for x in auts[f]) for a, f in enumerate(assign))
-            if all(relabel_table(mul, phi) >= mul for phi in auts):
+            if not has_smaller_relabeling(mul, pairs):
                 out.append((table, mul))
             return
         for choice in range(len(auts)):

@@ -4,9 +4,10 @@ Solutions (sigma, tau) and braces (add, mul) are both pairs of n x n tables
 on the points, classified up to relabelling.  The table helpers at the end
 relabel such tables, search the isomorphisms between them, and find their
 least serialization by one branch and bound, `least_relabeling`: it gives
-the canonical forms of solutions and braces, and its early exit,
-`has_smaller_relabeling`, is the lex-leader cut of the orderly searches on
-the first k rows of one table.
+the canonical forms of solutions and braces.  `has_smaller_relabeling`,
+the lex-leader cut of every orderly search on the first k rows of one
+table, runs that search to its first smaller entry, or tries a listed
+group of relabelings one by one.
 `tables_from_bytes` decodes the bytes.
 """
 
@@ -192,18 +193,30 @@ def least_relabeling(tables, k: int = 0) -> tuple[bytes, Perm]:
     return bytes(itertools.chain.from_iterable(best)), g or identity(n)
 
 
-def has_smaller_relabeling(rows) -> bool:
+def has_smaller_relabeling(rows, group=None) -> bool:
     """Whether some relabeling g with g({0..k-1}) = {0..k-1} makes `rows`,
-    the first k rows of an n x n table on the points, strictly smaller;
-    False if there are none.  Relabelled, they come from the same k rows,
-    as g keeps {0..k-1} together.  This is the lex-leader cut of the orderly
-    searches: `least_relabeling`'s search, stopped at the first entry that
-    comes out below the rows' own.
+    the first k rows of an n x n table on the points, strictly smaller.
+    Relabelled, row i has entry j = g[rows[h(i)][h(j)]] for h = g^-1, from
+    the same k rows.  This is the lex-leader cut of the orderly searches:
+    - `group` None tries every such g, by `least_relabeling`'s search
+      stopped at the first entry that comes out below the rows' own;
+    - else it lists the g to try, as (g, g^-1) pairs, and each is compared
+      row by row up to the first row that differs.
     """
     if not rows:
         return False
-    best = [list(row) for row in rows]
-    return _least((rows,), len(rows[0]), len(rows), best, True) is not None
+    if group is None:
+        best = [list(row) for row in rows]
+        return _least((rows,), len(rows[0]), len(rows), best, True) is not None
+    for g, h in group:
+        for row, x in zip(rows, h):
+            source = rows[x]
+            image = tuple([g[source[y]] for y in h])
+            if image != row:
+                if image < row:
+                    return True
+                break
+    return False
 
 
 def _least(tables, n: int, k: int, best: list[list[int]], first: bool) -> Perm | None:

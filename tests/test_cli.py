@@ -238,6 +238,8 @@ def test_enumerate_cap_error_names_the_flag(capsys, argv, message):
     ("enumerate", "--size", "3", "--jobs", "0"),
     ("growth", "FILE", "--radius", "-1"),
     ("enumerate", "--size", "abc"),
+    ("enumerate", "--size", "4", "--time-budget", "nan"),
+    ("enumerate", "--size", "4", "--time-budget", "-1"),
 ])
 def test_out_of_range_flag_is_a_usage_error(capsys, sol_file, argv):
     argv = [sol_file if arg == "FILE" else arg for arg in argv]

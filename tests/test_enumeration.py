@@ -382,7 +382,7 @@ def test_uncut_leaves_on_each_rack_are_the_orbit_sum(n, monkeypatch):
     for rack in enumeration.racks(n)[1:]:
         classes = search(n, (), rack=rack)
         with monkeypatch.context() as m:
-            m.setattr(enumeration, "_cut", lambda rows, stabiliser: False)
+            m.setattr(enumeration, "has_smaller_relabeling", lambda rows, group=None: False)
             m.setattr(solutions, "canonical_form", counting_canonical)
             leaves.clear()
             assert search(n, (), rack=rack) == classes
@@ -410,17 +410,19 @@ def test_lex_leader_check_matches_brute_force_on_search_nodes(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lex_leader_check_matches_brute_force_on_rack_nodes(n, monkeypatch):
     # every (rack, first k sigma rows) the all-mode search asks about off
-    # the trivial rack, where the cut runs over the rack's automorphisms
+    # the trivial rack, where the cut runs over the rack's automorphisms;
+    # the racks are listed before the spy goes in, as `racks` cuts too
     asked = []
-    cut = enumeration._cut
+    cut = enumeration.has_smaller_relabeling
+    nontrivial = enumeration.racks(n)[1:]
 
-    def spy(rows, stabiliser):
-        verdict = cut(rows, stabiliser)
+    def spy(rows, group=None):
+        verdict = cut(rows, group)
         asked.append(((rack, tuple(rows)), verdict))
         return verdict
 
-    monkeypatch.setattr(enumeration, "_cut", spy)
-    for rack in enumeration.racks(n)[1:]:
+    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
+    for rack in nontrivial:
         search(n, (), rack=rack)
     assert asked
     for tables, verdict in asked:
@@ -546,13 +548,13 @@ def test_searches_do_not_recheck_their_subtree_key(mode, sizes, monkeypatch):
     # a task's prefix passed the cut at k = 1 and 2 when the search listed it
     tasks = [task for n in sizes for task in enumeration.subtree_tasks(n, mode)]
     asked = set()
-    cut = enumeration._cut
+    cut = enumeration.has_smaller_relabeling
 
-    def spy(rows, stabiliser):
+    def spy(rows, group=None):
         asked.add((rack, tuple(rows)))
-        return cut(rows, stabiliser)
+        return cut(rows, group)
 
-    monkeypatch.setattr(enumeration, "_cut", spy)
+    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
     for rack, prefix in tasks:
         search(len(rack), prefix, rack=rack)
     assert asked and not set(tasks) & asked
@@ -735,6 +737,14 @@ def test_past_deadline_stops_the_task_listing_at_its_4096th_cell():
     assert exc.value.completed_tasks == []
 
 
+@pytest.mark.parametrize("budget", [math.nan, -1.0])
+def test_nan_or_negative_time_budget_is_rejected(budget):
+    # time.monotonic() > nan is never true, so a NaN budget would never end
+    # a run, and a negative one would list every task and do none of them
+    with pytest.raises(ValueError, match="time budget"):
+        run(4, "all", time_budget=budget)
+
+
 class CountingDeadline:
     """A deadline that never passes and counts the cells propagated."""
 
@@ -746,15 +756,16 @@ class CountingDeadline:
 
 
 def _search_work(tasks, monkeypatch) -> tuple[int, int]:
-    """Cells propagated and lex-leader cuts asked, over (rack, prefix) tasks."""
+    """Cells propagated and lex-leader cuts asked, over (rack, prefix) tasks
+    listed before the spy goes in."""
     cuts = []
-    cut = enumeration._cut
+    cut = enumeration.has_smaller_relabeling
 
-    def spy(rows, stabiliser):
+    def spy(rows, group=None):
         cuts.append(1)
-        return cut(rows, stabiliser)
+        return cut(rows, group)
 
-    monkeypatch.setattr(enumeration, "_cut", spy)
+    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
     deadline = CountingDeadline()
     for rack, prefix in tasks:
         search(len(rack), prefix, rack=rack, deadline=deadline)
@@ -972,6 +983,27 @@ def test_brace_orbit_identity(n):
     if n == 8:
         assert labeled_counts == [6, 28, 232, 20, 28]
         assert class_counts == [5, 14, 8, 12, 8]
+
+
+def test_brace_leaf_rule_matches_the_whole_table_rule():
+    # the leaf keeps mul when no listed non-identity automorphism of the
+    # least table makes it smaller; the rule it replaced, every relabelled
+    # table built whole and the identity tried too, is the oracle, on every
+    # labeled brace, so that both verdicts are met
+    kept = []
+    for n in range(1, 9):
+        for G in groups.groups_of_order(n):
+            least = groups.from_table(
+                relabel_table(G.table, least_relabeling((G.table,), 1)[1])
+            )
+            auts = groups.automorphisms(least)
+            pairs = [(phi, invert(phi)) for phi in auts if phi != tuple(range(n))]
+            for A in labeled_braces_on_group(least):
+                expected = any(relabel_table(A.mul, phi) < A.mul for phi in auts)
+                assert has_smaller_relabeling(A.mul, pairs) == expected, A.mul
+                kept.append(not expected)
+    # one least member per class: 1, 1, 1, 4, 1, 6, 1, 47 for n = 1..8
+    assert sum(kept) == 62 and not all(kept)
 
 
 @pytest.fixture()

@@ -177,9 +177,18 @@ def permutation_table(draw):
 @settings(max_examples=300, deadline=None)
 @given(table=permutation_table())
 def test_has_smaller_relabeling_matches_brute_force(table):
-    for k in range(len(table) + 1):
+    # both cases: the branch and bound, and the same relabelings listed
+    n = len(table)
+    for k in range(n + 1):
         rows = table[:k]
-        assert perms.has_smaller_relabeling(rows) == smaller_relabeling_brute((rows,))
+        expected = smaller_relabeling_brute((rows,))
+        assert perms.has_smaller_relabeling(rows) == expected
+        group = [
+            (low + high, perms.invert(low + high))
+            for low in itertools.permutations(range(k))
+            for high in itertools.permutations(range(k, n))
+        ]
+        assert perms.has_smaller_relabeling(rows, group) == expected
 
 
 def test_has_smaller_relabeling_keeps_the_first_k_points_together():

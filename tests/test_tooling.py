@@ -57,6 +57,13 @@ def test_traced_growth_run_passes_its_checks():
     assert result["metrics"]["structgroup.ball_elements"]["value"] > 0
 
 
+def test_traced_braces_run_passes_its_checks():
+    # the brace search's leaf rule against perfbench's brace checks: 47
+    # classes, 27 of abelian type, pairwise non-isomorphic
+    result = _traced_run("braces-8")
+    assert result["metrics"]["enumeration.brace_search_self_s"]["value"] > 0
+
+
 def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
