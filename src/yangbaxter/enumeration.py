@@ -27,9 +27,12 @@ rack as its canonical form.
 A task is a rack and a prefix of sigma rows.  The search lists the tasks
 itself: stopped at depth 2 on the trivial rack, which holds the longest
 runs, it gives the nodes there, past the cut and the propagation, as
-prefixes; every other rack is one task.  The workers take the tasks one at
-a time from a shared counter, checkpointing each as it finishes; merged
-output is a sorted canonical list, identical for any parallelism degree.
+prefixes; every other rack is one task.  An involutive run takes the
+trivial rack's tasks, the head of the full list, so a task is named by the
+size and its position alone, and one checkpoint directory serves both
+kinds of run.  The workers take the tasks one at a time from a shared
+counter, checkpointing each as it finishes; merged output is a sorted
+canonical list, identical for any parallelism degree.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .perms import least_relabeling, relabel_table, table_isomorphisms, tables_f
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 class EnumerationCapError(ValueError):
@@ -424,11 +427,15 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
                 tuple(L[u][rack[u][x]] for x, u in enumerate(col))
                 for col in zip(*sigma)
             )
-            if solutions.diagnose(n, sigma, tau) is None:
-                found.add(
-                    bytes(chain.from_iterable(sigma + tau)) if trivial
-                    else solutions.canonical_form(Solution(n, sigma, tau))
-                )
+            # a leaf that fails is a fault in the propagation rules, which
+            # would otherwise lose its class without a word
+            diagnostic = solutions.diagnose(n, sigma, tau)
+            if diagnostic is not None:
+                raise solutions.InvalidSolutionError(diagnostic)
+            found.add(
+                bytes(chain.from_iterable(sigma + tau)) if trivial
+                else solutions.canonical_form(Solution(n, sigma, tau))
+            )
             return
         cells(k, 0)
 
@@ -465,9 +472,10 @@ def subtree_tasks(n: int, mode: str, deadline: _Deadline = _Deadline(None)) -> l
     `_search` reaches at depth 2, past the cut at k = 1 and 2 and the
     propagation of their cells; every other rack is one task with the
     empty prefix.  Involutive mode has the trivial rack's tasks, all mode
-    those of every rack in `racks(n)`, the trivial rack first.  The list
-    is the same for a given size and mode, so a task's position names its
-    checkpoint.  The listing ticks `deadline` as the search does.
+    those of every rack in `racks(n)`, the trivial rack first, so the
+    involutive list is the head of the all-mode one, and a task's position
+    in the size's list names its checkpoint in either mode.  The listing
+    ticks `deadline` as the search does.
     """
     trivial = (tuple(range(n)),) * n
     prefixes = sorted(_search(n, trivial, (), deadline, min(n, 2)))
@@ -478,7 +486,7 @@ def subtree_tasks(n: int, mode: str, deadline: _Deadline = _Deadline(None)) -> l
 
 
 def _run_subtree(args) -> list[bytes]:
-    _, _, rack, prefix, deadline_at = args
+    _, rack, prefix, deadline_at = args
     return sorted(_search(len(rack), rack, prefix, _Deadline(deadline_at)))
 
 
@@ -496,7 +504,7 @@ def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, 
             next_index.value += 1
         if i >= len(args):
             return finished, False
-        mode, position, rack, prefix, deadline_at = args[i]
+        position, rack, prefix, deadline_at = args[i]
         try:
             if deadline_at is not None and time.monotonic() > deadline_at:
                 raise TimeBudgetExceeded
@@ -505,8 +513,8 @@ def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, 
             _drop_queued(next_index, len(args))
             return finished, True
         if ckpt_dir is not None:
-            path = _checkpoint_path(ckpt_dir, mode, len(rack), position)
-            _store_checkpoint(path, mode, rack, prefix, classes)
+            path = _checkpoint_path(ckpt_dir, len(rack), position)
+            _store_checkpoint(path, rack, prefix, classes)
         finished.append((position, classes))
 
 
@@ -538,16 +546,24 @@ def _run_shared_subtrees(args: list, ckpt_dir: Path | None) -> tuple[list, bool]
     return _run_subtrees(args, ckpt_dir, _worker_next_index)
 
 
-def _checkpoint_path(directory: Path, mode: str, n: int, position: int) -> Path:
-    return directory / f"{mode}-n{n}-task{position:04d}.json"
+def _checkpoint_path(directory: Path, n: int, position: int) -> Path:
+    return directory / f"n{n}-task{position:04d}.json"
 
 
-def _load_checkpoint(path: Path, mode: str, rack, prefix) -> list[bytes] | None:
+def _checkpoint_header(rack, prefix) -> dict:
+    return {
+        "version": CHECKPOINT_VERSION,
+        "rack": [list(row) for row in rack],
+        "prefix": [list(row) for row in prefix],
+    }
+
+
+def _load_checkpoint(path: Path, rack, prefix) -> list[bytes] | None:
     """The stored classes of a task, or None if it has no checkpoint.
 
-    The stored rack and prefix must be the task's, and each class must
-    decode to a valid solution of size n (involutive in involutive mode)
-    and be its own canonical form; anything else raises
+    The stored version, rack and prefix must be the task's, and each class
+    must decode to a valid solution of size n that is its own canonical
+    form, involutive exactly when the rack is trivial; anything else raises
     CheckpointMismatchError, so that a damaged file never joins the result.
     """
     if not path.exists():
@@ -557,21 +573,15 @@ def _load_checkpoint(path: Path, mode: str, rack, prefix) -> list[bytes] | None:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
-    if (
-        not isinstance(data, dict)
-        or data.get("version") != CHECKPOINT_VERSION
-        or data.get("mode") != mode
-        or data.get("size") != n
-        or data.get("rack") != [list(row) for row in rack]
-        or data.get("prefix") != [list(row) for row in prefix]
-    ):
+    header = _checkpoint_header(rack, prefix)
+    if not isinstance(data, dict) or any(data.get(k) != v for k, v in header.items()):
         raise CheckpointMismatchError(
-            f"checkpoint {path} does not match this run (wanted version="
-            f"{CHECKPOINT_VERSION} mode={mode} size={n} rack={rack} prefix={prefix})"
+            f"checkpoint {path} does not match this run (wanted {header})"
         )
     hexes = data.get("classes")
     if not isinstance(hexes, list) or not all(isinstance(h, str) for h in hexes):
         raise CheckpointMismatchError(f"checkpoint {path} has no list of classes")
+    trivial = all(row == tuple(range(n)) for row in rack)
     blobs = []
     for h in hexes:
         try:
@@ -579,27 +589,17 @@ def _load_checkpoint(path: Path, mode: str, rack, prefix) -> list[bytes] | None:
             sol = solutions.solution_from_canonical(blob)
         except ValueError as exc:
             raise CheckpointMismatchError(f"checkpoint {path}: bad class {h!r}: {exc}") from exc
-        if (
-            sol.size != n
-            or (mode == "involutive" and not sol.involutive)
-            or solutions.canonical_form(sol) != blob
-        ):
+        if sol.size != n or sol.involutive != trivial or solutions.canonical_form(sol) != blob:
             raise CheckpointMismatchError(
-                f"checkpoint {path}: {h!r} is not a canonical {mode} class of size {n}"
+                f"checkpoint {path}: {h!r} is not a canonical class of size {n}"
+                f" {'on' if trivial else 'off'} the trivial rack"
             )
         blobs.append(blob)
     return blobs
 
 
-def _store_checkpoint(path: Path, mode: str, rack, prefix, classes: list[bytes]) -> None:
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "mode": mode,
-        "size": len(rack),
-        "rack": [list(row) for row in rack],
-        "prefix": [list(row) for row in prefix],
-        "classes": [b.hex() for b in classes],
-    }
+def _store_checkpoint(path: Path, rack, prefix, classes: list[bytes]) -> None:
+    payload = {**_checkpoint_header(rack, prefix), "classes": [b.hex() for b in classes]}
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload))
     tmp.replace(path)
@@ -632,19 +632,18 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
         args: list[tuple] = []  # the pending tasks
         for position, (rack, prefix) in enumerate(tasks):
             if ckpt_dir is not None:
-                stored = _load_checkpoint(
-                    _checkpoint_path(ckpt_dir, task.mode, n, position),
-                    task.mode, rack, prefix,
-                )
+                stored = _load_checkpoint(_checkpoint_path(ckpt_dir, n, position), rack, prefix)
                 if stored is not None:
                     merged.update(stored)
                     completed.append(position)
                     continue
-            args.append((task.mode, position, rack, prefix, deadline_at))
+            args.append((position, rack, prefix, deadline_at))
 
         # the workers take tasks one at a time from a shared counter, so a
         # heavy task never holds up others queued behind it, and the pool
-        # gets one future per worker rather than one per task
+        # gets one future per worker: one future per task, `jobs` of them in
+        # flight, ran involutive n=5 at jobs=2 20-35% slower on 2 cores, so
+        # handing back each task's classes as it finishes needs batching
         workers = min(task.jobs, len(args))
         if workers <= 1:
             runs = [_run_subtrees(args, ckpt_dir, _Counter())]

@@ -398,17 +398,31 @@ def test_checkpoint_flag_stores_every_subtree(capsys, tmp_path):
     from yangbaxter.enumeration import subtree_tasks
 
     tasks = subtree_tasks(3, "involutive")
-    assert len(list(tmp_path.glob("involutive-n3-task*.json"))) == len(tasks)
+    assert len(list(tmp_path.glob("n3-task*.json"))) == len(tasks)
 
 
 def test_version_1_checkpoint_is_refused(capsys, tmp_path):
     # the tasks changed with each version; the first task's file is read
-    (tmp_path / "involutive-n3-task0000.json").write_text(json.dumps(
+    (tmp_path / "n3-task0000.json").write_text(json.dumps(
         {"version": 1, "mode": "involutive", "size": 3, "task": [0, 0], "classes": []}
     ))
     code, _, err = run_cli(
         capsys, "enumerate", "--size", "3", "--involutive", "--checkpoint", str(tmp_path)
     )
+    assert code == 2
+    assert "does not match this run" in err
+
+
+def test_version_5_checkpoint_is_refused(capsys, tmp_path):
+    # version 5 stored the run's mode and size; a file under the current name
+    # that carries them, with its version, is refused
+    args = ("enumerate", "--size", "3", "--involutive", "--count-only",
+            "--checkpoint", str(tmp_path))
+    assert run_cli(capsys, *args)[0] == 0
+    path = tmp_path / "n3-task0000.json"
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps({**data, "version": 5, "mode": "involutive", "size": 3}))
+    code, _, err = run_cli(capsys, *args)
     assert code == 2
     assert "does not match this run" in err
 

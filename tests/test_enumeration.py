@@ -142,6 +142,26 @@ def test_every_emitted_solution_is_valid_and_distinct():
         seen.add(cf)
 
 
+@pytest.mark.parametrize("which", [0, -1])
+def test_search_raises_on_a_leaf_that_fails_diagnose(which, monkeypatch):
+    # a leaf the propagation lets through but diagnose rejects is a fault in
+    # the rules: the search raises rather than drop the class, on the trivial
+    # rack and on another
+    rack = enumeration.racks(3)[which]
+    diagnose = solutions.diagnose
+    leaves = count()
+
+    def reject_first(n, sigma, tau):
+        if next(leaves) == 0:
+            return solutions.SolutionDiagnostic("braid", "rejected for the test")
+        return diagnose(n, sigma, tau)
+
+    assert search(3, (), rack=rack)
+    monkeypatch.setattr(solutions, "diagnose", reject_first)
+    with pytest.raises(solutions.InvalidSolutionError, match="rejected for the test"):
+        search(3, (), rack=rack)
+
+
 def test_involutive_leaves_are_non_degenerate(monkeypatch):
     # a leaf of the involutive search is a finite cycle set, hence
     # non-degenerate (Rump, Adv. Math. 193 (2005)): diagnose never rejects a
@@ -591,7 +611,7 @@ def test_parallel_output_is_deterministic():
 
 def test_checkpoint_resume(tmp_path):
     first = run(3, "involutive", checkpoint_dir=tmp_path)
-    files = list(tmp_path.glob("involutive-n3-task*.json"))
+    files = list(tmp_path.glob("n3-task*.json"))
     assert len(files) == len(trivial_keys(3))
     again = run(3, "involutive", checkpoint_dir=tmp_path)
     assert again.canonicals == first.canonicals
@@ -599,12 +619,13 @@ def test_checkpoint_resume(tmp_path):
 
 def test_checkpoint_of_version_4_is_rejected(tmp_path):
     # version 4 named the tasks of the search without the diagonal rule,
-    # whose positions differ
+    # whose positions differ, and version 5 files carried the run's mode;
+    # an earlier version under the current name is refused
     run(3, "involutive", checkpoint_dir=tmp_path)
-    path = enumeration._checkpoint_path(tmp_path, "involutive", 3, 0)
+    path = enumeration._checkpoint_path(tmp_path, 3, 0)
     data = json.loads(path.read_text())
-    assert data["version"] == 5
-    path.write_text(json.dumps({**data, "version": 4}))
+    assert data["version"] == 6
+    path.write_text(json.dumps({**data, "version": 5, "mode": "involutive", "size": 3}))
     with pytest.raises(CheckpointMismatchError):
         run(3, "involutive", checkpoint_dir=tmp_path)
 
@@ -617,11 +638,23 @@ def test_checkpoint_mismatch_detected(tmp_path):
         run(3, "involutive", checkpoint_dir=tmp_path)
 
 
+# the faults an all-mode run reads: a non-involutive class in the first
+# task's file, on the trivial rack, and an involutive one in the last task's,
+# on another rack
+ALL_MODE_FAULTS = ["not involutive, in all mode", "involutive, on another rack"]
+
+
+def _damaged_task(fault) -> int:
+    """The position of the size-3 task whose checkpoint holds the fault."""
+    return len(enumeration.subtree_tasks(3, "all")) - 1 if fault == ALL_MODE_FAULTS[1] else 0
+
+
 def _damaged_checkpoint(fault):
+    rack, prefix = enumeration.subtree_tasks(3, "all")[_damaged_task(fault)]
     header = {
-        "version": enumeration.CHECKPOINT_VERSION, "mode": "involutive", "size": 3,
-        "rack": [list(row) for row in trivial_rack(3)],
-        "prefix": [list(row) for row in trivial_keys(3)[0]],
+        "version": enumeration.CHECKPOINT_VERSION,
+        "rack": [list(row) for row in rack],
+        "prefix": [list(row) for row in prefix],
     }
     if fault == "no classes":
         return header
@@ -639,6 +672,8 @@ def _damaged_checkpoint(fault):
             bytes(chain.from_iterable(r.sigma + r.tau))
             for r in (solutions.relabel(sol, g) for g in all_perms(3))
         )
+    elif fault == ALL_MODE_FAULTS[1]:  # a valid canonical class, but involutive
+        blob = run(3, "involutive").canonicals[0]
     else:  # a valid canonical class, but not involutive
         full = run(3, "all")
         blob = next(b for b, s in zip(full.canonicals, classes_of(full)) if not s.involutive)
@@ -648,14 +683,49 @@ def _damaged_checkpoint(fault):
 @pytest.mark.parametrize(
     "fault",
     ["no classes", "not an object", "bad hex", "short blob", "wrong size",
-     "not canonical", "not involutive"],
+     "not canonical", "not involutive", *ALL_MODE_FAULTS],
 )
 def test_damaged_checkpoint_is_rejected(tmp_path, fault):
-    run(3, "involutive", checkpoint_dir=tmp_path)
-    path = enumeration._checkpoint_path(tmp_path, "involutive", 3, 0)
+    mode = "all" if fault in ALL_MODE_FAULTS else "involutive"
+    run(3, mode, checkpoint_dir=tmp_path)
+    path = enumeration._checkpoint_path(tmp_path, 3, _damaged_task(fault))
     path.write_text(json.dumps(_damaged_checkpoint(fault)))
     with pytest.raises(CheckpointMismatchError):
-        run(3, "involutive", checkpoint_dir=tmp_path)
+        run(3, mode, checkpoint_dir=tmp_path)
+
+
+def _searched_racks(monkeypatch) -> list:
+    """The racks of the tasks `_search` runs from now on, not counting the
+    listing's search, which stops at depth 2."""
+    searched = []
+    search = enumeration._search
+
+    def spy(n, rack, prefix, deadline, stop=None):
+        if stop is None:
+            searched.append(rack)
+        return search(n, rack, prefix, deadline, stop)
+
+    monkeypatch.setattr(enumeration, "_search", spy)
+    return searched
+
+
+def test_involutive_checkpoints_resume_an_all_mode_run(tmp_path, monkeypatch):
+    # the trivial rack's tasks head the all-mode list, under the same names
+    run(5, "involutive", checkpoint_dir=tmp_path)
+    searched = _searched_racks(monkeypatch)
+    resumed = run(5, "all", cap=5, checkpoint_dir=tmp_path)
+    assert len(searched) == len(enumeration.racks(5)) - 1
+    assert trivial_rack(5) not in searched
+    assert digest(resumed.canonicals) == ALL_5_DIGEST
+
+
+def test_all_mode_checkpoints_resume_an_involutive_run(tmp_path, monkeypatch):
+    run(5, "all", cap=5, checkpoint_dir=tmp_path)
+    searched = _searched_racks(monkeypatch)
+    resumed = run(5, "involutive", checkpoint_dir=tmp_path)
+    assert searched == []
+    monkeypatch.undo()
+    assert resumed.canonicals == run(5, "involutive").canonicals
 
 
 def test_checkpoint_of_another_rack_is_rejected(tmp_path):
@@ -664,7 +734,7 @@ def test_checkpoint_of_another_rack_is_rejected(tmp_path):
     # the first task's checkpoint, naming the last task's rack or the second
     # task's prefix, is refused, though its classes are valid
     tasks = enumeration.subtree_tasks(3, "all")
-    path = enumeration._checkpoint_path(tmp_path, "all", 3, 0)
+    path = enumeration._checkpoint_path(tmp_path, 3, 0)
     stored = path.read_text()
     for field, table in [("rack", tasks[-1][0]), ("prefix", tasks[1][1])]:
         data = json.loads(stored)
@@ -805,7 +875,7 @@ def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
     started, returned = [], []
 
     def run_subtree(args):
-        position = args[1]
+        position = args[0]
         started.append(position)
         if position == 0:
             raise enumeration.TimeBudgetExceeded
@@ -835,18 +905,18 @@ def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
     on_disk = []
 
     def run_subtree(args):
-        if args[1] == 1:
+        if args[0] == 1:
             on_disk.extend(tmp_path.glob("*.json"))
             raise enumeration.TimeBudgetExceeded
         return real(args)
 
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
-    args = [("involutive", i, rack, prefix, None) for i, (rack, prefix) in enumerate(tasks)]
+    args = [(i, rack, prefix, None) for i, (rack, prefix) in enumerate(tasks)]
     next_index = multiprocessing.Value("i", 0)
     finished, timed_out = enumeration._run_subtrees(args, tmp_path, next_index)
     assert timed_out
     assert [i for i, _ in finished] == [0]
-    first = enumeration._checkpoint_path(tmp_path, "involutive", 4, 0)
+    first = enumeration._checkpoint_path(tmp_path, 4, 0)
     assert on_disk == [first]
     assert next_index.value == len(args)
 
@@ -855,13 +925,13 @@ def test_worker_stops_at_the_deadline_between_subtrees():
     # subtrees this small never reach the in-search clock check
     past = time.monotonic() - 1
     late = [
-        ("involutive", i, rack, prefix, past)
+        (i, rack, prefix, past)
         for i, (rack, prefix) in enumerate(enumeration.subtree_tasks(3, "involutive"))
     ]
     counter = multiprocessing.Value("i", 0)
     assert enumeration._run_subtrees(late, None, counter) == ([], True)
     counter.value = 0
-    on_time = [(*a[:4], None) for a in late]
+    on_time = [(*a[:3], None) for a in late]
     finished, timed_out = enumeration._run_subtrees(on_time, None, counter)
     assert not timed_out and len(finished) == len(late)
 
@@ -874,12 +944,12 @@ def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatc
     started, returned = [], []
 
     def run_subtree(args):
-        started.append(args[1])
-        if args[1] == 0:
+        started.append(args[0])
+        if args[0] == 0:
             raise KeyboardInterrupt
         time.sleep(0.05)
         result = real(args)
-        returned.append(args[1])
+        returned.append(args[0])
         return result
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)

@@ -64,6 +64,13 @@ def test_traced_braces_run_passes_its_checks():
     assert result["metrics"]["enumeration.brace_search_self_s"]["value"] > 0
 
 
+def test_traced_involutive_run_passes_its_checks():
+    # the one workload through the process pool: its --jobs 2 operation's
+    # stream must be byte-identical to the serial ones
+    result = _traced_run("involutive-5")
+    assert result["metrics"]["enumeration.subtrees"]["value"] == 132
+
+
 def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
