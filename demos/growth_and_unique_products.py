@@ -25,11 +25,11 @@ def main():
     print("\ndefining relations hold exactly, e.g. x1*x1 == x2*x4:",
           structgroup.eval_word(gens, (1, 1)) == structgroup.eval_word(gens, (2, 4)))
 
-    print("\nball sizes (two independent BFS implementations):")
+    print("\nball sizes (closed form for Z^4, and a BFS over exact matrices):")
     a = structgroup.ball_sizes(s, 3)
     b = structgroup.ball_sizes_via_matrices(s, 3)
-    print("   pair-based:  ", a.values)
-    print("   matrix-based:", b.values)
+    print("   closed form: ", a.values)
+    print("   matrix BFS:  ", b.values)
 
     print("\ngrowth of free abelian structure groups:")
     for n in (1, 2):

@@ -49,7 +49,7 @@ from . import braces as braces_mod
 from . import groups, solutions
 from .braces import SkewBrace
 from .perms import Perm, all_perms, compose, cycle_type, has_smaller_relabeling, invert
-from .perms import least_relabeling, relabel_table, table_isomorphisms, tables_from_bytes
+from .perms import least_relabeling, relabel_table, table_isomorphisms
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
@@ -106,21 +106,16 @@ class EnumerationResult:
     size: int
     mode: str
     canonicals: list[bytes]
+    involutive: int  # the classes of the trivial rack's tasks
 
     @property
     def total(self) -> int:
         return len(self.canonicals)
 
     def counts(self) -> dict[str, int]:
-        # the bytes come from verified leaves: read r o r = id off the decoded
-        # tables without rebuilding and re-verifying each class
-        inv = sum(
-            Solution(self.size, *tables_from_bytes(blob, 2)).involutive
-            for blob in self.canonicals
-        )
         return {
-            "involutive": inv,
-            "non_involutive": self.total - inv,
+            "involutive": self.involutive,
+            "non_involutive": self.total - self.involutive,
             "total": self.total,
         }
 
@@ -625,8 +620,7 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     tasks: list[tuple] = []
-    merged: set[bytes] = set()
-    completed: list[int] = []
+    found: dict[int, list[bytes]] = {}  # the classes of each finished task
     try:
         tasks = subtree_tasks(n, task.mode, _Deadline(deadline_at))
         args: list[tuple] = []  # the pending tasks
@@ -634,8 +628,7 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
             if ckpt_dir is not None:
                 stored = _load_checkpoint(_checkpoint_path(ckpt_dir, n, position), rack, prefix)
                 if stored is not None:
-                    merged.update(stored)
-                    completed.append(position)
+                    found[position] = stored
                     continue
             args.append((position, rack, prefix, deadline_at))
 
@@ -670,21 +663,24 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
                     _drop_queued(next_index, len(args))
                     raise
         for finished, _ in runs:
-            for position, classes in finished:
-                merged.update(classes)
-                completed.append(position)
+            found.update(finished)
         if any(timed_out for _, timed_out in runs):
             raise TimeBudgetExceeded
     except TimeBudgetExceeded:
-        done = f"{len(completed)}/{len(tasks)} tasks done" if tasks else "the tasks unlisted"
+        done = f"{len(found)}/{len(tasks)} tasks done" if tasks else "the tasks unlisted"
         raise PartialResultError(
             f"time budget of {task.time_budget}s exceeded with {done}"
             + (" (completed work is checkpointed)" if ckpt_dir else ""),
-            sorted(completed),
+            sorted(found),
             len(tasks),
         ) from None
 
-    return EnumerationResult(n, task.mode, sorted(merged))
+    # a class is involutive exactly when its task's rack is trivial (the
+    # loader checks it), and each class reaches one leaf of one task
+    trivial = (tuple(range(n)),) * n
+    involutive = sum(len(found[i]) for i, (rack, _) in enumerate(tasks) if rack == trivial)
+    merged = {blob for classes in found.values() for blob in classes}
+    return EnumerationResult(n, task.mode, sorted(merged), involutive)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 Each generator x_i maps to the integer matrix [P_i | e_i; 0 | 1] whose block
 is the permutation matrix of sigma[i] (column j carries a 1 in row
 sigma[i](j)) and whose last column is the i-th standard basis vector.  All
-arithmetic is exact; growth of the Cayley ball, the Promislow word set and
-the unique-product falsifier are built on top.
+arithmetic is exact; the Promislow word set and the unique-product
+falsifier are built on top.  The Cayley ball on X and X^{-1} is the l1 ball
+of Z^n, counted in closed form: the translation part is a bijective
+1-cocycle, and the diagonal bijection x -> sigma_x^-1(x) makes the inverses
+shift by the negated unit vectors (`ball_sizes`).  A breadth-first search
+over exact rational matrices (`ball_sizes_via_matrices`) checks the count.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .perms import Perm, compose, identity as identity_perm, invert
 from .solutions import Solution
@@ -130,83 +134,40 @@ def ball_sizes(
     """Cumulative ball sizes in the Cayley graph on X and X^{-1}.
 
     Edges join g and gx, so the graph is undirected with the symmetric
-    generating set; values[k] counts elements at distance <= k.  Exceeding
-    `max_elements` returns the computed prefix flagged as truncated.
+    generating set; values[k] counts elements at distance <= k.  The list
+    ends before the first size above `max_elements`, flagged as truncated.
 
-    The search (`_keyed_bfs_sizes`) is `_bfs_sizes` holding two spheres, not
-    the ball.  In an undirected graph a neighbour of the sphere at distance k
-    lies at distance k - 1, k or k + 1, so sphere k + 1 is the neighbourhood
-    of sphere k less spheres k and k - 1, and each ball size is a running
-    sum: memory scales with two spheres.  A sphere maps the id of each
-    permutation p in it (handed out the first time p is reached) to the set
-    of codes of the t with (p, t) in it, code(t) = sum t_i * B^i in the
-    balanced base B = 2 * radius + 1.  Every move shifts by a signed unit
-    vector (the generators by e_i, their inverses by -e_j; checked on the
-    moves), so each step moves t by one unit vector and |t_i| <= radius
-    inside the ball: the digits stay in range and (id(p), code(t)) determines
-    the whole pair (p, t), not t alone.  (p, t) * (q, +-e_j) =
-    (pq, t +- e_{p(j)}), so a move sends all codes of p to pq shifted by one
-    constant, and each reached permutation keeps one (target id, code shift)
-    pair per move.
+    The sizes are those of the l1 ball of Z^n, sum_j 2^j C(n, j) C(k, j).
+    The translation part g -> t(g) is a bijective 1-cocycle from the
+    structure group onto Z^n (Etingof-Schedler-Soloviev, Duke Math. J. 100
+    (1999)), and (p, t) * (q, s) = (pq, t + p.s), so from any element (p, t)
+    the moves x_j and x_j^{-1} shift t by p applied to their own shifts:
+    e_j for x_j and -e_{sigma_j^-1(j)} for x_j^{-1}.  The map
+    j -> sigma_j^-1(j) is a bijection (Rump, Adv. Math. 193 (2005); proved in
+    `enumeration._search`), so the 2n moves shift t by the 2n distinct
+    signed unit vectors, t carries the Cayley graph onto the grid graph of
+    Z^n, and the ball of radius k onto the l1 ball.  The shifts are checked
+    on the generators; `ball_sizes_via_matrices` and the tests' search on
+    `AffineElement`s count the ball independently.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    return GrowthResult(
-        *_keyed_bfs_sizes(s.size, affine_representation(s), radius, max_elements)
-    )
-
-
-def _keyed_bfs_sizes(n: int, gens, radius: int, max_elements: int):
-    """`_bfs_sizes` from the identity of Z^n x Sym(n) on `gens` and their
-    inverses, two spheres at a time.
-
-    The inverses are added here, since the two-sphere rule of `ball_sizes`
-    holds only on an undirected graph.  Every generator must be an
-    `AffineElement` whose shift is a signed unit vector; the code encoding is
-    exact only then.
-    """
-    steps = []  # (perm, coordinate, sign) of each move's shift
-    for m in gens + [g.inverse() for g in gens]:
-        shift = [(j, v) for j, v in enumerate(m.trans_part) if v]
-        if len(shift) != 1 or shift[0][1] not in (1, -1):
-            raise ValueError(f"move shift {m.trans_part} is not a signed unit vector")
-        steps.append((m.perm_part, *shift[0]))
-    base = 2 * radius + 1
-    perms = [identity_perm(n)]
-    ids = {perms[0]: 0}
-    deltas: dict[int, list[tuple[int, int]]] = {}  # perm id -> its delta_row
-
-    def delta_row(pid: int) -> list[tuple[int, int]]:
-        """(target perm id, code shift) of each move from perm id `pid`."""
-        p = perms[pid]
-        row = []
-        for q, j, sign in steps:
-            pq = compose(p, q)
-            qid = ids.setdefault(pq, len(perms))
-            if qid == len(perms):
-                perms.append(pq)
-            row.append((qid, sign * base ** p[j]))
-        return row
-
-    prev: dict[int, set[int]] = {}
-    sphere = {0: {0}}  # perm id -> codes of the last sphere
+    gens = affine_representation(s)
+    n = s.size
+    shifts = {g.trans_part for g in gens} | {g.inverse().trans_part for g in gens}
+    units = {tuple(v if j == i else 0 for j in range(n)) for i in range(n) for v in (1, -1)}
+    if shifts != units:  # pragma: no cover
+        raise RuntimeError(
+            "the generator shifts are not the 2n signed unit vectors; "
+            "this contradicts the construction"
+        )
     sizes = [1]
-    for _ in range(radius):
-        new: dict[int, set[int]] = {}
-        for pid, codes in sphere.items():
-            if pid not in deltas:
-                deltas[pid] = delta_row(pid)
-            for qid, shift in deltas[pid]:
-                new.setdefault(qid, set()).update(map(shift.__add__, codes))
-        for qid, codes in new.items():
-            codes -= sphere.get(qid, set())
-            codes -= prev.get(qid, set())
-        size = sizes[-1] + sum(map(len, new.values()))
+    for k in range(1, radius + 1):
+        size = sum(2**j * comb(n, j) * comb(k, j) for j in range(n + 1))
         if size > max_elements:
-            return tuple(sizes), True
+            return GrowthResult(tuple(sizes), True)
         sizes.append(size)
-        prev, sphere = sphere, new
-    return tuple(sizes), False
+    return GrowthResult(tuple(sizes))
 
 
 def ball_sizes_via_matrices(
@@ -226,8 +187,8 @@ def _bfs_sizes(start, moves, radius: int, max_elements: int):
     """Breadth-first ball sizes over any hashable elements with `*`.
 
     One object per product: `ball_sizes_via_matrices` runs it on rational
-    matrices, and the tests run it on `AffineElement`s as the oracle for
-    the integer-keyed search of `ball_sizes`.  Once |seen| exceeds
+    matrices, and the tests run it on `AffineElement`s as the search that
+    checks the lattice count of `ball_sizes`.  Once |seen| exceeds
     `max_elements` it returns the completed levels with truncated=True.
     """
     seen = {start}
@@ -543,7 +504,6 @@ def upp_falsify(S) -> UppVerdict:
 class Presentation:
     generators: int
     relations: tuple[tuple[Word, Word], ...]
-    ambiguous: bool = False
 
 
 def _relations(pairs) -> tuple[tuple[Word, Word], ...]:
@@ -569,23 +529,6 @@ def structure_presentation(s: Solution) -> Presentation:
         for u, v in [s.r(x, y)]
     )
     return Presentation(n, _relations(pairs))
-
-
-def additive_group_presentation(s: Solution) -> Presentation:
-    """Companion presentation with relations x u = u sigma_u(v) for r(x, y) = (u, v).
-
-    The defining rule never mentions y on the right-hand side, so its intent
-    is ambiguous as written; the listing is produced verbatim and flagged,
-    not normalized.
-    """
-    n = s.size
-    pairs = (
-        ((x + 1, u + 1), (u + 1, s.sigma[u][v] + 1))
-        for x in range(n)
-        for y in range(n)
-        for u, v in [s.r(x, y)]
-    )
-    return Presentation(n, _relations(pairs), ambiguous=True)
 
 
 def generator_collapse(p: Presentation) -> list[list[int]]:

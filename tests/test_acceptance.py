@@ -349,8 +349,8 @@ def test_criterion_11_growth(sol4_irr):
     report(
         11, ok,
         f"line growth={line_ok} guess={guess1_ok}; lattice growth={lattice_ok} "
-        f"guess={guess2_ok}; size-4 ball values agree across both BFS "
-        f"implementations={cross_ok}",
+        f"guess={guess2_ok}; size-4 ball values agree between the closed form "
+        f"and the matrix BFS={cross_ok}",
     )
 
 

@@ -717,6 +717,7 @@ def test_involutive_checkpoints_resume_an_all_mode_run(tmp_path, monkeypatch):
     assert len(searched) == len(enumeration.racks(5)) - 1
     assert trivial_rack(5) not in searched
     assert digest(resumed.canonicals) == ALL_5_DIGEST
+    assert resumed.counts() == {"involutive": 88, "non_involutive": 3519, "total": 3607}
 
 
 def test_all_mode_checkpoints_resume_an_involutive_run(tmp_path, monkeypatch):
