@@ -188,6 +188,13 @@ def test_ball_sizes_are_lattice_balls(involutive_corpus):
             assert (g.values, g.truncated) == (want, False), s
 
 
+def test_ball_sizes_matches_affine_bfs_on_small_classes(involutive_corpus):
+    for n in range(1, 5):
+        for s in involutive_corpus[n]:
+            g = ball_sizes(s, 4)
+            assert (g.values, g.truncated) == affine_bfs(s, 4), s
+
+
 def test_ball_sizes_matches_affine_bfs_on_candidate(candidate):
     g = ball_sizes(candidate, 3)
     assert (g.values, g.truncated) == affine_bfs(candidate, 3)
