@@ -30,17 +30,19 @@ runs, it gives the nodes there, past the cut and the propagation, as
 prefixes; every other rack is one task.  An involutive run takes the
 trivial rack's tasks, the head of the full list, so a task is named by the
 size and its position alone, and one checkpoint directory serves both
-kinds of run.  The workers take the tasks one at a time from a shared
-counter, checkpointing each as it finishes; merged output is a sorted
-canonical list, identical for any parallelism degree.
+kinds of run.  With `jobs` j, the parent and j - 1 forked helpers take
+tasks one at a time from one shared queue, checkpointing each as it
+finishes; merged output is a sorted canonical list, identical for any
+parallelism degree.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
+import os
+import pickle
+import tempfile
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -97,6 +99,8 @@ class EnumerationTask:
             )
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if self.jobs > 1 and not hasattr(os, "fork"):
+            raise ValueError("jobs > 1 needs os.fork")
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError(f"time budget must be at least 0 s, got {self.time_budget}")
 
@@ -485,60 +489,105 @@ def _run_subtree(args) -> list[bytes]:
     return sorted(_search(len(rack), rack, prefix, _Deadline(deadline_at)))
 
 
-def _run_subtrees(args: list, ckpt_dir: Path | None, next_index) -> tuple[list, bool]:
-    """Run the tasks that the shared counter hands out, one at a time.
+def _task_queue(count: int):
+    """An unlinked file of the task numbers 0..count-1, 4 bytes each, read
+    from offset 0.  A forked process shares the file's one offset, and a
+    read of a regular file moves it atomically, so `os.read(fd, 4)` in any
+    process takes the next task exactly once, and a seek to the end drops
+    every task not yet taken."""
+    queue = tempfile.TemporaryFile()
+    queue.write(b"".join(i.to_bytes(4, "little") for i in range(count)))
+    queue.flush()
+    queue.seek(0)
+    return queue
+
+
+def _run_subtrees(args: list, ckpt_dir: Path | None, queue: int) -> tuple[list, bool]:
+    """Run the tasks that the queue, a `_task_queue` descriptor, hands out,
+    one at a time.
 
     Each finished task is checkpointed at once.  Returns the finished ones,
-    by position, and whether time ran out; on a timeout the counter is
-    moved past the end, so that no other worker starts a task either.
+    by position, and whether time ran out.  On a timeout, an interrupt or a
+    fault the queue is emptied, so that no other process starts a task
+    either.
     """
     finished = []
-    while True:
-        with next_index.get_lock():
-            i = next_index.value
-            next_index.value += 1
-        if i >= len(args):
-            return finished, False
-        position, rack, prefix, deadline_at = args[i]
-        try:
+    try:
+        while word := os.read(queue, 4):
+            i = int.from_bytes(word, "little")
+            position, rack, prefix, deadline_at = args[i]
             if deadline_at is not None and time.monotonic() > deadline_at:
                 raise TimeBudgetExceeded
             classes = _run_subtree(args[i])
-        except TimeBudgetExceeded:
-            _drop_queued(next_index, len(args))
-            return finished, True
-        if ckpt_dir is not None:
-            path = _checkpoint_path(ckpt_dir, len(rack), position)
-            _store_checkpoint(path, rack, prefix, classes)
-        finished.append((position, classes))
+            if ckpt_dir is not None:
+                path = _checkpoint_path(ckpt_dir, len(rack), position)
+                _store_checkpoint(path, rack, prefix, classes)
+            finished.append((position, classes))
+        return finished, False
+    except BaseException as exc:
+        os.lseek(queue, 0, os.SEEK_END)
+        if not isinstance(exc, TimeBudgetExceeded):
+            raise
+        return finished, True
 
 
-def _drop_queued(next_index, end: int) -> None:
-    with next_index.get_lock():
-        next_index.value = end
+def _run_forked(args: list, ckpt_dir: Path | None, jobs: int) -> list[tuple[list, bool]]:
+    """Each process's `_run_subtrees` result, from this process and
+    min(jobs, len(args)) - 1 forked helpers, which all take the tasks from
+    one `_task_queue`.
 
-
-class _Counter:
-    """The task counter of a run without a pool: a shared Value's `value`
-    and `get_lock()`, without the shared memory, whose first creation costs
-    a process about 8 ms."""
-
-    value = 0
-
-    def get_lock(self) -> nullcontext:
-        return nullcontext()
-
-
-_worker_next_index = None  # set at worker start: a shared Value cannot go into a task
-
-
-def _share_next_index(next_index) -> None:
-    global _worker_next_index
-    _worker_next_index = next_index
-
-
-def _run_shared_subtrees(args: list, ckpt_dir: Path | None) -> tuple[list, bool]:
-    return _run_subtrees(args, ckpt_dir, _worker_next_index)
+    A helper sends back its result, or the exception it raised, as one
+    pickle through its own pipe and leaves by `os._exit`, so that it runs
+    no exit handler and flushes none of the buffers it shares with this
+    process.  A helper's exception, or its exit with no result, is raised
+    here.  The queue is emptied and every helper reaped before this returns
+    or raises: on an exception each helper finishes the task it is on, and
+    its checkpoint is written.
+    """
+    helpers: list[tuple[int, int]] = []  # each helper's pid and its pipe's read end
+    with _task_queue(len(args)) as queue_file:
+        queue = queue_file.fileno()
+        try:
+            for _ in range(min(jobs, len(args)) - 1):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    try:
+                        # a read end left open here would keep that pipe
+                        # open after the parent closes it
+                        for fd in [r] + [fd for _, fd in helpers]:
+                            os.close(fd)
+                        try:
+                            run = _run_subtrees(args, ckpt_dir, queue)
+                        except BaseException as exc:
+                            run = exc
+                        with open(w, "wb") as pipe:
+                            pickle.dump(run, pipe)
+                    finally:
+                        os._exit(0)
+                os.close(w)
+                helpers.append((pid, r))
+            runs = [_run_subtrees(args, ckpt_dir, queue)]
+            for pid, r in helpers:
+                try:
+                    with open(r, "rb", closefd=False) as pipe:
+                        run = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    raise RuntimeError(f"helper process {pid} exited with no result") from exc
+                if isinstance(run, BaseException):
+                    raise run
+                runs.append(run)
+            return runs
+        finally:
+            os.lseek(queue, 0, os.SEEK_END)  # after a fault, no process starts another task
+            for pid, r in helpers:
+                os.close(r)
+                os.waitpid(pid, 0)
 
 
 def _checkpoint_path(directory: Path, n: int, position: int) -> Path:
@@ -632,36 +681,13 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
                     continue
             args.append((position, rack, prefix, deadline_at))
 
-        # the workers take tasks one at a time from a shared counter, so a
-        # heavy task never holds up others queued behind it, and the pool
-        # gets one future per worker: one future per task, `jobs` of them in
-        # flight, ran involutive n=5 at jobs=2 20-35% slower on 2 cores, so
-        # handing back each task's classes as it finishes needs batching
-        workers = min(task.jobs, len(args))
-        if workers <= 1:
-            runs = [_run_subtrees(args, ckpt_dir, _Counter())]
-        else:
-            # imported here, by the one run that starts a pool: the module
-            # costs every other process about 1.5 MB of RSS
-            from concurrent.futures import ProcessPoolExecutor
-
-            next_index = multiprocessing.Value("i", 0)
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_share_next_index,
-                initargs=(next_index,),
-            ) as pool:
-                futures = [
-                    pool.submit(_run_shared_subtrees, args, ckpt_dir)
-                    for _ in range(workers)
-                ]
-                try:
-                    runs = [fut.result() for fut in futures]
-                except BaseException:
-                    # an interrupt or a failed worker: start no further
-                    # task; the running ones finish and are checkpointed
-                    _drop_queued(next_index, len(args))
-                    raise
+        # the parent and jobs - 1 forked helpers take tasks one at a time from
+        # one shared queue, so a heavy task never holds up others queued
+        # behind it, and each helper hands back its classes once, at the end:
+        # one future per task ran involutive n=5 at jobs=2 20-35% slower on
+        # 2 cores, and a process pool's start and shutdown, with the parent
+        # idle, cost that run more than a second process saved
+        runs = _run_forked(args, ckpt_dir, task.jobs)
         for finished, _ in runs:
             found.update(finished)
         if any(timed_out for _, timed_out in runs):

@@ -1,11 +1,10 @@
-import concurrent.futures
 import hashlib
 import json
 import math
-import multiprocessing
+import os
+import sys
 import time
 from itertools import chain, combinations, count, product
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -32,7 +31,7 @@ from oracles import (
     unpruned_involutive_search,
 )
 
-from yangbaxter import braces, enumeration, groups, solutions
+from yangbaxter import braces, cli, enumeration, groups, solutions
 from yangbaxter.enumeration import (
     CheckpointMismatchError,
     EnumerationCapError,
@@ -867,40 +866,54 @@ def test_non_trivial_rack_search_work_at_size_5_is_pinned(monkeypatch):
     assert _search_work(tasks, monkeypatch) == (86363, 10966)
 
 
+def _mark(directory, position):
+    # a forked helper's lists never reach the parent, its files do
+    directory.mkdir(exist_ok=True)
+    (directory / str(position)).touch()
+
+
+def _marked(directory):
+    return sorted(int(p.name) for p in directory.glob("*")) if directory.exists() else []
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
-    # threads stand in for the worker processes so that the subtree runner
-    # can be replaced: the first subtree runs out of time at once, the
-    # others take a while, so they finish after it
+    # the parent and one forked helper: the first subtree runs out of time at
+    # once, the others take a while, so they finish after it
     tasks = enumeration.subtree_tasks(4, "involutive")
     real = enumeration._run_subtree
-    started, returned = [], []
+    ckpt, started, returned = tmp_path / "ckpt", tmp_path / "started", tmp_path / "returned"
 
     def run_subtree(args):
         position = args[0]
-        started.append(position)
+        _mark(started, position)
         if position == 0:
             raise enumeration.TimeBudgetExceeded
         time.sleep(0.05)
         result = real(args)
-        returned.append(position)
+        _mark(returned, position)
         return result
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
     with pytest.raises(PartialResultError) as exc:
-        run(4, "involutive", jobs=2, checkpoint_dir=tmp_path)
+        run(4, "involutive", jobs=2, checkpoint_dir=ckpt)
     # every subtree that returned is recorded and checkpointed ...
-    assert exc.value.completed_tasks == sorted(returned)
-    assert len(list(tmp_path.glob("*.json"))) == len(returned)
-    # ... and the queued ones were cancelled, not run
-    assert len(started) < len(tasks)
+    assert exc.value.completed_tasks == _marked(returned)
+    assert len(list(ckpt.glob("*.json"))) == len(_marked(returned))
+    # ... and the queued ones were dropped, not run
+    assert len(_marked(started)) < len(tasks)
+    _assert_no_child_left()
 
 
 def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
     tmp_path, monkeypatch
 ):
-    # the worker runs out of time on its second subtree: by then the first is
-    # on disk, and the counter is moved past the end so no worker starts more
+    # the process runs out of time on its second subtree: by then the first
+    # is on disk, and the queue is drained so no other process starts more
     tasks = enumeration.subtree_tasks(4, "involutive")
     real = enumeration._run_subtree
     on_disk = []
@@ -913,13 +926,13 @@ def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
 
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
     args = [(i, rack, prefix, None) for i, (rack, prefix) in enumerate(tasks)]
-    next_index = multiprocessing.Value("i", 0)
-    finished, timed_out = enumeration._run_subtrees(args, tmp_path, next_index)
+    with enumeration._task_queue(len(args)) as queue:
+        finished, timed_out = enumeration._run_subtrees(args, tmp_path, queue.fileno())
+        assert os.read(queue.fileno(), 4) == b""
     assert timed_out
     assert [i for i, _ in finished] == [0]
     first = enumeration._checkpoint_path(tmp_path, 4, 0)
     assert on_disk == [first]
-    assert next_index.value == len(args)
 
 
 def test_worker_stops_at_the_deadline_between_subtrees():
@@ -929,65 +942,137 @@ def test_worker_stops_at_the_deadline_between_subtrees():
         (i, rack, prefix, past)
         for i, (rack, prefix) in enumerate(enumeration.subtree_tasks(3, "involutive"))
     ]
-    counter = multiprocessing.Value("i", 0)
-    assert enumeration._run_subtrees(late, None, counter) == ([], True)
-    counter.value = 0
+    with enumeration._task_queue(len(late)) as queue:
+        assert enumeration._run_subtrees(late, None, queue.fileno()) == ([], True)
+        assert os.read(queue.fileno(), 4) == b""
     on_time = [(*a[:3], None) for a in late]
-    finished, timed_out = enumeration._run_subtrees(on_time, None, counter)
+    with enumeration._task_queue(len(on_time)) as queue:
+        finished, timed_out = enumeration._run_subtrees(on_time, None, queue.fileno())
     assert not timed_out and len(finished) == len(late)
 
 
 def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatch):
-    # an interrupt in one worker: the other finishes the subtree it is on,
-    # which is checkpointed, and starts no other
+    # an interrupt in the helper, on the first task it takes: the parent
+    # finishes the subtree it is on, which is checkpointed, and starts no
+    # other; the interrupt reaches the caller through the helper's pipe
     tasks = enumeration.subtree_tasks(4, "involutive")
     real = enumeration._run_subtree
-    started, returned = [], []
+    parent = os.getpid()
+    ckpt, started, returned = tmp_path / "ckpt", tmp_path / "started", tmp_path / "returned"
+    interrupted = tmp_path / "interrupted"
 
     def run_subtree(args):
-        started.append(args[0])
-        if args[0] == 0:
+        _mark(started, args[0])
+        if os.getpid() != parent:
+            interrupted.touch()
             raise KeyboardInterrupt
-        time.sleep(0.05)
+        give_up = time.monotonic() + 10
+        while not interrupted.exists() and time.monotonic() < give_up:
+            time.sleep(0.01)
         result = real(args)
-        returned.append(args[0])
+        _mark(returned, args[0])
         return result
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
     with pytest.raises(KeyboardInterrupt):
-        run(4, "involutive", jobs=2, checkpoint_dir=tmp_path)
-    assert len(list(tmp_path.glob("*.json"))) == len(returned)
-    assert len(started) < len(tasks)
+        run(4, "involutive", jobs=2, checkpoint_dir=ckpt)
+    assert len(list(ckpt.glob("*.json"))) == len(_marked(returned)) == 1
+    assert len(_marked(started)) == 2 < len(tasks)
+    _assert_no_child_left()
 
 
-def test_serial_run_creates_no_shared_memory(monkeypatch):
-    created = []
-    value = multiprocessing.Value
+def test_each_task_is_taken_exactly_once_across_processes(monkeypatch):
+    # more processes than cores contend for the shared offset; a lost or
+    # doubled read would drop or repeat a position
+    monkeypatch.setattr(enumeration, "_run_subtree", lambda args: [])
+    args = [(i, (), (), None) for i in range(20_000)]
+    runs = enumeration._run_forked(args, None, 4)
+    assert len(runs) == 4 and not any(timed_out for _, timed_out in runs)
+    assert sorted(i for finished, _ in runs for i, _ in finished) == list(range(20_000))
+    _assert_no_child_left()
 
-    def spy(*args, **kwargs):
-        created.append(args)
-        return value(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Value", spy)
+def test_a_helper_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
+    # the helper exits on the first task it takes, with no result; the parent
+    # waits for that before its own first task, then runs all the others
+    tasks = enumeration.subtree_tasks(4, "involutive")
+    real = enumeration._run_subtree
+    parent = os.getpid()
+    died = tmp_path / "died"
+
+    def run_subtree(args):
+        if os.getpid() != parent:
+            died.touch()
+            os._exit(3)
+        give_up = time.monotonic() + 10
+        while not died.exists() and time.monotonic() < give_up:
+            time.sleep(0.01)
+        return real(args)
+
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(RuntimeError, match="exited with no result"):
+        run(4, "involutive", jobs=2, checkpoint_dir=ckpt)
+    assert died.exists()
+    assert len(list(ckpt.glob("*.json"))) == len(tasks) - 1
+    _assert_no_child_left()
+
+
+def test_a_helper_leaves_the_parents_pending_output_alone(tmp_path, monkeypatch, capsys):
+    # text printed but not yet flushed is in the buffer a helper inherits; a
+    # helper that flushed it on exit would write it a second time.  capsys
+    # keeps its text in memory, where a helper's copy never reaches, so a
+    # block-buffered file stands in for standard output too
+    argv = ["enumerate", "--size", "4", "--involutive"]
+    print("pending", end="")
+    assert cli.main([*argv, "--jobs", "2"]) == 0
+    stream = capsys.readouterr().out
+    assert stream.count("pending") == 1
+    out = tmp_path / "stdout.txt"
+    with open(out, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("pending", end="")
+        assert cli.main([*argv, "--jobs", "2"]) == 0
+    assert out.read_text() == stream
+    _assert_no_child_left()
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def spy():
+        forks.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+def test_serial_run_forks_no_helper(monkeypatch):
+    forks = _count_forks(monkeypatch)
     assert run(4, "all", jobs=1).total == 253
-    assert created == []
-    assert run(4, "involutive", jobs=2).total == 23
-    assert created == [("i", 0)]
+    assert forks == []
 
 
-def test_parallel_run_submits_one_future_per_worker(monkeypatch):
-    submitted = []
+def test_parallel_run_forks_one_helper_fewer_than_its_processes(tmp_path, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    assert run(5, "involutive", jobs=2, checkpoint_dir=tmp_path).total == 88
+    # one helper, not one process per task (132 at n = 5)
+    assert len(forks) == 1
+    # with 3 tasks pending, --jobs 8 starts 3 processes
+    for path in sorted(tmp_path.glob("*.json"))[:3]:
+        path.unlink()
+    assert run(5, "involutive", jobs=8, checkpoint_dir=tmp_path).total == 88
+    assert len(forks) == 1 + 2
+    _assert_no_child_left()
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    assert run(5, "involutive", jobs=2).total == 88
-    # not one future per task (132 at n = 5)
-    assert len(submitted) == 2
+def test_jobs_above_one_need_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match=r"jobs > 1 needs os\.fork"):
+        EnumerationTask(size=3, jobs=2).validate()
+    assert run(3, "involutive", jobs=1).total == 5
 
 
 # ---------------------------------------------------------------------------
