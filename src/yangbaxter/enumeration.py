@@ -27,22 +27,24 @@ rack as its canonical form.
 A task is a rack and a prefix of sigma rows.  The search lists the tasks
 itself: stopped at depth 2 on the trivial rack, which holds the longest
 runs, it gives the nodes there, past the cut and the propagation, as
-prefixes; every other rack is one task.  An involutive run takes the
-trivial rack's tasks, the head of the full list, so a task is named by the
-size and its position alone, and one checkpoint directory serves both
-kinds of run.  With `jobs` j, the parent and j - 1 forked helpers take
-tasks one at a time from one shared queue, checkpointing each as it
-finishes; merged output is a sorted canonical list, identical for any
-parallelism degree.
+prefixes, in sorted order; every other rack is one task.  An involutive
+run takes the trivial rack's tasks, the head of the full list, so a task
+is named by the size and its position alone, and one checkpoint directory
+serves both kinds of run.  Each task is queued as soon as the listing
+reaches it, and with `jobs` j the parent and up to j - 1 helpers, forked
+as the pending tasks appear, take them one at a time from that one queue,
+checkpointing each as it finishes; merged output is a sorted canonical
+list, identical for any parallelism degree.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import pickle
-import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -99,6 +101,10 @@ class EnumerationTask:
             )
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if 5 + self.size * (self.size + 2) > 512:  # see `_record`
+            raise EnumerationCapError(
+                f"size {self.size} exceeds 21, the largest whose task records fit in PIPE_BUF"
+            )
         if self.jobs > 1 and not hasattr(os, "fork"):
             raise ValueError("jobs > 1 needs os.fork")
         if self.time_budget is not None and not self.time_budget >= 0:
@@ -206,10 +212,12 @@ def rack_automorphisms(rack) -> list[Perm]:
     return list(table_isomorphisms((rack,), (rack,), keys, keys))
 
 
-def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) -> set:
+def _search(n: int, rack, prefix, deadline: _Deadline, stop=None, reach=None) -> set:
     """Canonical forms of the classes with derived rack `rack` whose least
     (rack, sigma) member lies below prefix, a sequence of sigma rows; with
-    a depth stop, the rows of the nodes at that depth instead.
+    a depth stop, it calls reach with the rows of each node at that depth
+    instead, in sorted order, as cells are set to their values in ascending
+    order and the forced cells follow from the cells set before them.
 
     For r(x, y) = (sigma_x(y), tau_y(x)) let x <| u = sigma_u tau_y(x) with
     y = sigma_x^-1(u).  Then J(x, y) = (x, sigma_x(y)) carries r to
@@ -274,7 +282,7 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
     search reached (`subtree_tasks`), past the cut, so the cut starts below
     it.  The cut runs before the depth stop, so a stopped node has passed it.
     """
-    found: set = set()  # classes, or the rows of the stopped nodes
+    found: set = set()  # classes
     identity = tuple(range(n))
     trivial = all(row == identity for row in rack)
     T = list(zip(*rack))  # T[x][u] = x <| u
@@ -418,7 +426,7 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
         if k > len(prefix) and has_smaller_relabeling(rows, stabilisers[k]):
             return
         if k == stop:
-            found.add(tuple(rows))
+            reach(tuple(rows))
             return
         if k == n:
             sigma = tuple(rows)
@@ -464,23 +472,32 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop: int | None = None) 
 # Task orchestration
 
 
-def subtree_tasks(n: int, mode: str, deadline: _Deadline = _Deadline(None)) -> list[tuple]:
+def subtree_tasks(n: int, mode: str, deadline=_Deadline(None), each=None) -> list[tuple]:
     """The tasks of a run, as (rack, sigma prefix) pairs in a fixed order.
 
     The trivial rack, which holds the longest runs, is split at the nodes
     `_search` reaches at depth 2, past the cut at k = 1 and 2 and the
-    propagation of their cells; every other rack is one task with the
-    empty prefix.  Involutive mode has the trivial rack's tasks, all mode
-    those of every rack in `racks(n)`, the trivial rack first, so the
-    involutive list is the head of the all-mode one, and a task's position
-    in the size's list names its checkpoint in either mode.  The listing
-    ticks `deadline` as the search does.
+    propagation of their cells, in the sorted order it reaches them; every
+    other rack is one task with the empty prefix.  Involutive mode has the
+    trivial rack's tasks, all mode those of every rack in `racks(n)`, the
+    trivial rack first, so the involutive list is the head of the all-mode
+    one, and a task's position in the size's list names its checkpoint in
+    either mode.  The listing ticks `deadline` as the search does, and
+    calls `each`, if given, with the position, rack and prefix of each task
+    as it reaches it.
     """
+    tasks: list[tuple] = []
+
+    def reach(rack, prefix) -> None:
+        tasks.append((rack, prefix))
+        if each is not None:
+            each(len(tasks) - 1, rack, prefix)
+
     trivial = (tuple(range(n)),) * n
-    prefixes = sorted(_search(n, trivial, (), deadline, min(n, 2)))
-    tasks = [(trivial, prefix) for prefix in prefixes]
+    _search(n, trivial, (), deadline, min(n, 2), lambda prefix: reach(trivial, prefix))
     if mode == "all":
-        tasks += [(rack, ()) for rack in racks(n)[1:]]
+        for rack in racks(n)[1:]:
+            reach(rack, ())
     return tasks
 
 
@@ -489,105 +506,185 @@ def _run_subtree(args) -> list[bytes]:
     return sorted(_search(len(rack), rack, prefix, _Deadline(deadline_at)))
 
 
-def _task_queue(count: int):
-    """An unlinked file of the task numbers 0..count-1, 4 bytes each, read
-    from offset 0.  A forked process shares the file's one offset, and a
-    read of a regular file moves it atomically, so `os.read(fd, 4)` in any
-    process takes the next task exactly once, and a seek to the end drops
-    every task not yet taken."""
-    queue = tempfile.TemporaryFile()
-    queue.write(b"".join(i.to_bytes(4, "little") for i in range(count)))
-    queue.flush()
-    queue.seek(0)
-    return queue
+def _record(n: int, position: int, rack, prefix) -> bytes:
+    """A task as one queue record of 5 + n(n + 2) bytes: the prefix's row
+    count, the position, and the cells of the rack and of the prefix,
+    padded to two rows.  `EnumerationTask.validate` keeps it within 512
+    bytes, the least PIPE_BUF POSIX allows, so a pipe moves it whole."""
+    cells = bytes(chain(*rack, *prefix)).ljust(n * (n + 2), b"\0")
+    return bytes([len(prefix)]) + position.to_bytes(4, "little") + cells
 
 
-def _run_subtrees(args: list, ckpt_dir: Path | None, queue: int) -> tuple[list, bool]:
-    """Run the tasks that the queue, a `_task_queue` descriptor, hands out,
-    one at a time.
+def _records(queue: int, n: int):
+    """The records read from the queue, a pipe of `_record`s, one per read,
+    until it ends."""
+    return iter(lambda: os.read(queue, 5 + n * (n + 2)), b"")
 
-    Each finished task is checkpointed at once.  Returns the finished ones,
-    by position, and whether time ran out.  On a timeout, an interrupt or a
-    fault the queue is emptied, so that no other process starts a task
-    either.
+
+def _run_subtrees(n: int, records, stop, ckpt_dir: Path | None, deadline_at, finished) -> bool:
+    """Run the tasks of the records in turn, until they end or the stop byte
+    is set, putting each one's classes into finished by position.
+
+    Each finished task is checkpointed at once.  Returns whether time ran
+    out.  A timeout, an interrupt or a fault sets the stop byte, so that no
+    other process starts a task either.
     """
-    finished = []
     try:
-        while word := os.read(queue, 4):
-            i = int.from_bytes(word, "little")
-            position, rack, prefix, deadline_at = args[i]
+        for record in records:
+            if stop[0]:
+                break
+            position = int.from_bytes(record[1:5], "little")
+            rows = [tuple(record[i : i + n]) for i in range(5, 5 + n * (n + record[0]), n)]
+            rack, prefix = tuple(rows[:n]), tuple(rows[n:])
             if deadline_at is not None and time.monotonic() > deadline_at:
                 raise TimeBudgetExceeded
-            classes = _run_subtree(args[i])
+            classes = _run_subtree((position, rack, prefix, deadline_at))
             if ckpt_dir is not None:
-                path = _checkpoint_path(ckpt_dir, len(rack), position)
-                _store_checkpoint(path, rack, prefix, classes)
-            finished.append((position, classes))
-        return finished, False
+                _store_checkpoint(_checkpoint_path(ckpt_dir, n, position), rack, prefix, classes)
+            finished[position] = classes
+        return False
     except BaseException as exc:
-        os.lseek(queue, 0, os.SEEK_END)
+        stop[0] = 1
         if not isinstance(exc, TimeBudgetExceeded):
             raise
-        return finished, True
+        return True
 
 
-def _run_forked(args: list, ckpt_dir: Path | None, jobs: int) -> list[tuple[list, bool]]:
-    """Each process's `_run_subtrees` result, from this process and
-    min(jobs, len(args)) - 1 forked helpers, which all take the tasks from
-    one `_task_queue`.
+class _Forked(BaseException):
+    """Unwinds a new helper's copy of the listing it was forked in, so that
+    it runs its tasks from as shallow a stack as the parent.  The search is
+    slower from deep in a stack: CPython maps and unmaps a 16 KiB chunk of
+    its frame stack each time the recursion crosses the end of one.  Run
+    from the listing's depth, a helper's tasks at involutive n=6 took
+    10,000 page faults instead of 1,300, and 40% longer."""
 
-    A helper sends back its result, or the exception it raised, as one
-    pickle through its own pipe and leaves by `os._exit`, so that it runs
-    no exit handler and flushes none of the buffers it shares with this
-    process.  A helper's exception, or its exit with no result, is raised
-    here.  The queue is emptied and every helper reaped before this returns
-    or raises: on an exception each helper finishes the task it is on, and
-    its checkpoint is written.
-    """
-    helpers: list[tuple[int, int]] = []  # each helper's pid and its pipe's read end
-    with _task_queue(len(args)) as queue_file:
-        queue = queue_file.fileno()
+
+def _serve(result: int, n: int, queue: int, stop, ckpt_dir: Path | None, deadline_at) -> None:
+    """A helper's run: the tasks from the queue, then the classes of those
+    it finished and whether time ran out, or the exception it raised, sent
+    as one pickle through the pipe's write end result.  It leaves by
+    `os._exit`, so that it runs no exit handler and flushes none of the
+    buffers it shares with the parent."""
+    try:
+        finished: dict = {}
         try:
-            for _ in range(min(jobs, len(args)) - 1):
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(w)
-                    raise
-                if pid == 0:
-                    try:
-                        # a read end left open here would keep that pipe
-                        # open after the parent closes it
-                        for fd in [r] + [fd for _, fd in helpers]:
-                            os.close(fd)
-                        try:
-                            run = _run_subtrees(args, ckpt_dir, queue)
-                        except BaseException as exc:
-                            run = exc
-                        with open(w, "wb") as pipe:
-                            pickle.dump(run, pipe)
-                    finally:
-                        os._exit(0)
-                os.close(w)
-                helpers.append((pid, r))
-            runs = [_run_subtrees(args, ckpt_dir, queue)]
-            for pid, r in helpers:
-                try:
-                    with open(r, "rb", closefd=False) as pipe:
-                        run = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError) as exc:
-                    raise RuntimeError(f"helper process {pid} exited with no result") from exc
-                if isinstance(run, BaseException):
-                    raise run
-                runs.append(run)
-            return runs
-        finally:
-            os.lseek(queue, 0, os.SEEK_END)  # after a fault, no process starts another task
-            for pid, r in helpers:
+            timed_out = _run_subtrees(n, _records(queue, n), stop, ckpt_dir, deadline_at, finished)
+            run = finished, timed_out
+        except BaseException as exc:
+            run = exc
+        with open(result, "wb") as pipe:
+            pickle.dump(run, pipe)
+    finally:
+        os._exit(0)
+
+
+def _run_tasks(
+    task: EnumerationTask, ckpt_dir: Path | None, deadline_at, found: dict
+) -> tuple[list, bool]:
+    """The run's task list, or [] if the listing did not end, and whether
+    time ran out; the classes of each task loaded or run go into found.
+
+    As `subtree_tasks` reaches a task, it is loaded from its checkpoint or
+    else queued: written to the pipe, or kept in a backlog while the pipe
+    is full, so that no helper, busy or dead, blocks the listing.  A helper
+    is forked with each pending task from the second on, up to jobs - 1,
+    and runs the tasks it reads from the pipe (`_serve`).  Once the listing
+    ends, this process runs the backlog, moving each task the pipe has room
+    for into it, and then what the pipe still holds.  A helper's exception,
+    or its exit with no result, is raised here.  Once the shared stop byte
+    is set no process starts a task, and every helper is reaped before this
+    returns or raises.
+    """
+    n = task.size
+    parent = os.getpid()
+    stop = mmap.mmap(-1, 1)  # anonymous, so shared with the forked helpers
+    queue, tail = os.pipe()
+    backlog: deque[bytes] = deque()  # the records the pipe had no room for
+    helpers: list[tuple[int, int]] = []  # each helper's pid and its pipe's read end
+    pending = 0
+
+    def flush() -> None:
+        """Move records from the backlog into the pipe while it has room."""
+        try:
+            while backlog:
+                os.write(tail, backlog[0])
+                backlog.popleft()
+        except BlockingIOError:
+            pass
+
+    def each(position: int, rack, prefix) -> None:
+        nonlocal pending
+        if stop[0]:  # a helper stopped; it says why when it is joined
+            raise TimeBudgetExceeded
+        if ckpt_dir is not None:
+            stored = _load_checkpoint(_checkpoint_path(ckpt_dir, n, position), rack, prefix)
+            if stored is not None:
+                found[position] = stored
+                return
+        pending += 1
+        if 1 < pending <= task.jobs:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
                 os.close(r)
-                os.waitpid(pid, 0)
+                os.close(w)
+                raise
+            if pid == 0:
+                # a read end left open here would keep its pipe open after
+                # the parent closes it
+                for fd in [r] + [fd for _, fd in helpers]:
+                    os.close(fd)
+                raise _Forked(w)
+            os.close(w)
+            helpers.append((pid, r))
+        backlog.append(_record(n, position, rack, prefix))
+        flush()
+
+    def unqueued():
+        """The backlog, less what the pipe takes as the helpers empty it."""
+        while backlog:
+            flush()
+            if backlog:
+                yield backlog.popleft()
+
+    tasks: list[tuple] = []
+    timed_out = False
+    try:
+        try:
+            try:
+                os.set_blocking(tail, False)
+                tasks = subtree_tasks(n, task.mode, _Deadline(deadline_at), each)
+                timed_out = _run_subtrees(n, unqueued(), stop, ckpt_dir, deadline_at, found)
+            finally:
+                # in a new helper too: the helpers' reads end once the
+                # queue is empty and every write end is closed
+                os.close(tail)
+            queued = _records(queue, n)
+            timed_out = _run_subtrees(n, queued, stop, ckpt_dir, deadline_at, found) or timed_out
+        except TimeBudgetExceeded:
+            timed_out = True
+        except _Forked as forked:
+            _serve(forked.args[0], n, queue, stop, ckpt_dir, deadline_at)
+        for pid, r in helpers:
+            try:
+                with open(r, "rb", closefd=False) as pipe:
+                    run = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise RuntimeError(f"helper process {pid} exited with no result") from exc
+            if isinstance(run, BaseException):
+                raise run
+            found.update(run[0])
+            timed_out = timed_out or run[1]
+    finally:
+        if os.getpid() != parent:  # a helper interrupted before it could serve
+            os._exit(1)
+        stop[0] = 1  # after a fault, no process starts another task
+        os.close(queue)
+        for pid, r in helpers:
+            os.close(r)
+            os.waitpid(pid, 0)
+    return tasks, timed_out
 
 
 def _checkpoint_path(directory: Path, n: int, position: int) -> Path:
@@ -668,38 +765,25 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
         ckpt_dir = Path(task.checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks: list[tuple] = []
+    # each task is queued as soon as the listing reaches it, so a helper
+    # starts while the parent still lists: listing the 132 tasks took a
+    # quarter of an involutive n=5 run at jobs=2, with one core idle.  The
+    # parent and the helpers take tasks one at a time from the one queue,
+    # so a heavy task never holds up others queued behind it, and each
+    # helper hands back its classes once, at the end: one future per task
+    # ran involutive n=5 at jobs=2 20-35% slower on 2 cores, and a process
+    # pool's start and shutdown, with the parent idle, cost that run more
+    # than a second process saved
     found: dict[int, list[bytes]] = {}  # the classes of each finished task
-    try:
-        tasks = subtree_tasks(n, task.mode, _Deadline(deadline_at))
-        args: list[tuple] = []  # the pending tasks
-        for position, (rack, prefix) in enumerate(tasks):
-            if ckpt_dir is not None:
-                stored = _load_checkpoint(_checkpoint_path(ckpt_dir, n, position), rack, prefix)
-                if stored is not None:
-                    found[position] = stored
-                    continue
-            args.append((position, rack, prefix, deadline_at))
-
-        # the parent and jobs - 1 forked helpers take tasks one at a time from
-        # one shared queue, so a heavy task never holds up others queued
-        # behind it, and each helper hands back its classes once, at the end:
-        # one future per task ran involutive n=5 at jobs=2 20-35% slower on
-        # 2 cores, and a process pool's start and shutdown, with the parent
-        # idle, cost that run more than a second process saved
-        runs = _run_forked(args, ckpt_dir, task.jobs)
-        for finished, _ in runs:
-            found.update(finished)
-        if any(timed_out for _, timed_out in runs):
-            raise TimeBudgetExceeded
-    except TimeBudgetExceeded:
-        done = f"{len(found)}/{len(tasks)} tasks done" if tasks else "the tasks unlisted"
+    tasks, timed_out = _run_tasks(task, ckpt_dir, deadline_at, found)
+    if timed_out:
+        done = f"/{len(tasks)} tasks done" if tasks else " tasks done, the listing unfinished"
         raise PartialResultError(
-            f"time budget of {task.time_budget}s exceeded with {done}"
+            f"time budget of {task.time_budget}s exceeded with {len(found)}{done}"
             + (" (completed work is checkpointed)" if ckpt_dir else ""),
             sorted(found),
             len(tasks),
-        ) from None
+        )
 
     # a class is involutive exactly when its task's rack is trivial (the
     # loader checks it), and each class reaches one leaf of one task

@@ -21,6 +21,17 @@ def solution_from_cycles(n, sigma_cycles, tau_cycles):
 RUN_LONG = os.environ.get("YBX_RUN_LONG") == "1"
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process, running or unreaped."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process")
+
+
 def classes_of(result):
     """The classes of an enumeration, rebuilt and verified from its canonical bytes."""
     return [solutions.solution_from_canonical(blob) for blob in result.canonicals]

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import mmap
 import os
+import signal
 import sys
 import time
+from contextlib import contextmanager
 from itertools import chain, combinations, count, product
 from types import SimpleNamespace
 
@@ -477,6 +480,20 @@ def test_trivial_rack_task_counts_are_pinned():
     assert [len(trivial_keys(n)) for n in range(1, 7)] == [1, 2, 7, 27, 132, 749]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_listing_reaches_the_tasks_in_sorted_order(n):
+    # a task is handed out under its position as the listing reaches it, so
+    # the order reached must be the list's, sorted and without repeats, as
+    # it was when the list was sorted after the listing (7579 tasks at
+    # n = 7 are too, in 1.5 s); `racks(6)` alone takes 0.5 s
+    reached = []
+    mode = "all" if n < 6 else "involutive"
+    tasks = enumeration.subtree_tasks(n, mode, each=lambda *task: reached.append(task))
+    assert reached == [(i, *task) for i, task in enumerate(tasks)]
+    keys = trivial_keys(n)
+    assert keys == sorted(set(keys))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_involutive_tasks_are_the_all_mode_tasks_on_the_trivial_rack(n):
     involutive = enumeration.subtree_tasks(n, "involutive")
@@ -592,6 +609,14 @@ def test_cap_enforced_and_overridable():
     assert run(3, "all", cap=5).total == 26
 
 
+def test_a_size_whose_task_record_outgrows_a_pipe_write_is_refused():
+    # a task record of size n has 5 + n(n + 2) bytes, and a pipe moves at
+    # least 512 whole
+    EnumerationTask(size=21, cap=21).validate()
+    with pytest.raises(EnumerationCapError, match="exceeds 21"):
+        EnumerationTask(size=22, cap=22).validate()
+
+
 def test_filters():
     # the run keeps every class; decomposability and level are read off them
     classes = classes_of(run(4, "involutive"))
@@ -699,10 +724,10 @@ def _searched_racks(monkeypatch) -> list:
     searched = []
     search = enumeration._search
 
-    def spy(n, rack, prefix, deadline, stop=None):
+    def spy(n, rack, prefix, deadline, stop=None, reach=None):
         if stop is None:
             searched.append(rack)
-        return search(n, rack, prefix, deadline, stop)
+        return search(n, rack, prefix, deadline, stop, reach)
 
     monkeypatch.setattr(enumeration, "_search", spy)
     return searched
@@ -876,9 +901,47 @@ def _marked(directory):
     return sorted(int(p.name) for p in directory.glob("*")) if directory.exists() else []
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _wait_for(condition):
+    """Wait until condition() holds, or 10 s have passed."""
+    give_up = time.monotonic() + 10
+    while not condition() and time.monotonic() < give_up:
+        time.sleep(0.01)
+
+
+@contextmanager
+def _within(seconds):
+    """Fail, and not hang, when the block runs longer than seconds."""
+
+    def late(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _records(tasks):
+    """The tasks' queue records, and a clear stop byte: what `_run_subtrees`
+    reads."""
+    n = len(tasks[0][0])
+    return [enumeration._record(n, i, *task) for i, task in enumerate(tasks)], mmap.mmap(-1, 1)
+
+
+def _listing(count):
+    """A stand-in for `subtree_tasks`: count tasks of size 1, each handed to
+    the run as it is listed."""
+    task = (((0,),), ())
+
+    def listing(n, mode, deadline, each):
+        for position in range(count):
+            each(position, *task)
+        return [task] * count
+
+    return listing
 
 
 def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
@@ -906,14 +969,13 @@ def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
     assert len(list(ckpt.glob("*.json"))) == len(_marked(returned))
     # ... and the queued ones were dropped, not run
     assert len(_marked(started)) < len(tasks)
-    _assert_no_child_left()
 
 
 def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
     tmp_path, monkeypatch
 ):
     # the process runs out of time on its second subtree: by then the first
-    # is on disk, and the queue is drained so no other process starts more
+    # is on disk, and the stop byte is set so no other process starts more
     tasks = enumeration.subtree_tasks(4, "involutive")
     real = enumeration._run_subtree
     on_disk = []
@@ -925,36 +987,32 @@ def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
         return real(args)
 
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
-    args = [(i, rack, prefix, None) for i, (rack, prefix) in enumerate(tasks)]
-    with enumeration._task_queue(len(args)) as queue:
-        finished, timed_out = enumeration._run_subtrees(args, tmp_path, queue.fileno())
-        assert os.read(queue.fileno(), 4) == b""
-    assert timed_out
-    assert [i for i, _ in finished] == [0]
+    records, stop = _records(tasks)
+    finished = {}
+    assert enumeration._run_subtrees(4, records, stop, tmp_path, None, finished)
+    assert stop[0]
+    assert list(finished) == [0]
     first = enumeration._checkpoint_path(tmp_path, 4, 0)
     assert on_disk == [first]
 
 
 def test_worker_stops_at_the_deadline_between_subtrees():
     # subtrees this small never reach the in-search clock check
-    past = time.monotonic() - 1
-    late = [
-        (i, rack, prefix, past)
-        for i, (rack, prefix) in enumerate(enumeration.subtree_tasks(3, "involutive"))
-    ]
-    with enumeration._task_queue(len(late)) as queue:
-        assert enumeration._run_subtrees(late, None, queue.fileno()) == ([], True)
-        assert os.read(queue.fileno(), 4) == b""
-    on_time = [(*a[:3], None) for a in late]
-    with enumeration._task_queue(len(on_time)) as queue:
-        finished, timed_out = enumeration._run_subtrees(on_time, None, queue.fileno())
-    assert not timed_out and len(finished) == len(late)
+    tasks = enumeration.subtree_tasks(3, "involutive")
+    records, stop = _records(tasks)
+    finished = {}
+    assert enumeration._run_subtrees(3, records, stop, None, time.monotonic() - 1, finished)
+    assert stop[0] and finished == {}
+    records, stop = _records(tasks)
+    assert not enumeration._run_subtrees(3, records, stop, None, None, finished)
+    assert len(finished) == len(tasks)
 
 
 def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatch):
-    # an interrupt in the helper, on the first task it takes: the parent
-    # finishes the subtree it is on, which is checkpointed, and starts no
-    # other; the interrupt reaches the caller through the helper's pipe
+    # an interrupt in the helper, on the first task it takes, once the parent
+    # has started one: the parent finishes the subtree it is on, which is
+    # checkpointed, and starts no other; the interrupt reaches the caller
+    # through the helper's pipe
     tasks = enumeration.subtree_tasks(4, "involutive")
     real = enumeration._run_subtree
     parent = os.getpid()
@@ -964,11 +1022,10 @@ def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatc
     def run_subtree(args):
         _mark(started, args[0])
         if os.getpid() != parent:
+            _wait_for(lambda: len(_marked(started)) == 2)
             interrupted.touch()
             raise KeyboardInterrupt
-        give_up = time.monotonic() + 10
-        while not interrupted.exists() and time.monotonic() < give_up:
-            time.sleep(0.01)
+        _wait_for(interrupted.exists)
         result = real(args)
         _mark(returned, args[0])
         return result
@@ -978,18 +1035,218 @@ def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatc
         run(4, "involutive", jobs=2, checkpoint_dir=ckpt)
     assert len(list(ckpt.glob("*.json"))) == len(_marked(returned)) == 1
     assert len(_marked(started)) == 2 < len(tasks)
-    _assert_no_child_left()
 
 
-def test_each_task_is_taken_exactly_once_across_processes(monkeypatch):
-    # more processes than cores contend for the shared offset; a lost or
-    # doubled read would drop or repeat a position
-    monkeypatch.setattr(enumeration, "_run_subtree", lambda args: [])
-    args = [(i, (), (), None) for i in range(20_000)]
-    runs = enumeration._run_forked(args, None, 4)
-    assert len(runs) == 4 and not any(timed_out for _, timed_out in runs)
-    assert sorted(i for finished, _ in runs for i, _ in finished) == list(range(20_000))
-    _assert_no_child_left()
+def test_each_task_is_taken_exactly_once_across_processes(tmp_path, monkeypatch):
+    # more processes than cores read the one queue, which fills, so the
+    # parent keeps a backlog; a split, lost or doubled record would drop or
+    # repeat a position.  Each process logs its positions to one file
+    # opened for appending, so no line is lost
+    log = os.open(tmp_path / "taken", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def run_subtree(args):
+        os.write(log, f"{args[0]}\n".encode())
+        return []
+
+    monkeypatch.setattr(enumeration, "subtree_tasks", _listing(20_000))
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    forks = _count_forks(monkeypatch)
+    with _within(60):
+        assert run(1, "involutive", jobs=4).total == 0
+    os.close(log)
+    assert len(forks) == 3
+    taken = (tmp_path / "taken").read_text().split()
+    assert sorted(map(int, taken)) == list(range(20_000))
+
+
+def test_a_helper_that_dies_with_the_queue_full_does_not_block_the_parent(monkeypatch):
+    # 20,000 records of 8 bytes are more than a 64 KiB pipe holds; with its
+    # one reader dead, the parent keeps what the pipe has no room for, runs
+    # it once the listing ends, then runs the pipe's, and the run raises
+    parent = os.getpid()
+    ran = []
+
+    def run_subtree(args):
+        if os.getpid() != parent:
+            os._exit(3)
+        ran.append(args[0])
+        return []
+
+    monkeypatch.setattr(enumeration, "subtree_tasks", _listing(20_000))
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    with _within(60), pytest.raises(RuntimeError, match="exited with no result"):
+        run(1, "involutive", jobs=2)
+    assert len(set(ran)) == len(ran) == 20_000 - 1
+
+
+def test_a_helper_starts_a_task_before_the_listing_ends(tmp_path, monkeypatch):
+    # the listing waits at the third task of size 5 until the helper, forked
+    # at the second, has started a task; a helper forked only after the
+    # listing never does, and the wait gives up
+    parent = os.getpid()
+    started = tmp_path / "started"
+    real_run, real_list, real_load = (
+        enumeration._run_subtree, enumeration.subtree_tasks, enumeration._load_checkpoint
+    )
+    listed, seen = [], []
+
+    def run_subtree(args):
+        if os.getpid() != parent:
+            started.touch()
+        return real_run(args)
+
+    def listing(*args):
+        tasks = real_list(*args)
+        listed.append(len(tasks))
+        return tasks
+
+    def load(path, rack, prefix):
+        if path.name.endswith("task0002.json"):
+            _wait_for(started.exists)
+            seen.append((started.exists(), list(listed)))
+        return real_load(path, rack, prefix)
+
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    monkeypatch.setattr(enumeration, "subtree_tasks", listing)
+    monkeypatch.setattr(enumeration, "_load_checkpoint", load)
+    assert run(5, "involutive", jobs=2, checkpoint_dir=tmp_path / "ckpt").total == 88
+    assert seen == [(True, [])]
+    assert listed == [132]
+
+
+def test_a_helper_runs_its_tasks_from_a_stack_as_shallow_as_the_parents(tmp_path, monkeypatch):
+    # the helper is forked deep in the listing, whose frames it unwinds: the
+    # search is slower from deep in a stack (see `enumeration._Forked`)
+    parent = os.getpid()
+    real = enumeration._run_subtree
+
+    def run_subtree(args):
+        frame, depth = sys._getframe(), 0
+        while frame := frame.f_back:
+            depth += 1
+        (tmp_path / f"{os.getpid() == parent}-{args[0]}").write_text(str(depth))
+        return real(args)
+
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    assert run(5, "involutive", jobs=2).total == 88
+    depths = {True: [], False: []}
+    for path in tmp_path.iterdir():
+        depths[path.name.startswith("True")].append(int(path.read_text()))
+    # one frame more, the helper's `_serve`
+    assert depths[False] and max(depths[False]) <= min(depths[True]) + 1
+
+
+def test_a_helper_interrupted_as_it_unwinds_never_returns_to_the_caller(tmp_path, monkeypatch):
+    # an interrupt that takes the place of the unwinding reaches the run's
+    # clean-up in the helper, which must leave at once, not go on as a
+    # second copy of the caller
+    parent = os.getpid()
+    escaped = tmp_path / "escaped"
+    real = enumeration.subtree_tasks
+
+    def listing(*args):
+        try:
+            return real(*args)
+        except enumeration._Forked:
+            raise KeyboardInterrupt from None
+
+    monkeypatch.setattr(enumeration, "subtree_tasks", listing)
+    try:
+        with pytest.raises(RuntimeError, match="exited with no result"):
+            run(5, "involutive", jobs=2)
+    finally:
+        if os.getpid() != parent:
+            escaped.touch()
+            os._exit(0)
+    assert not escaped.exists()
+
+
+def test_a_helper_that_fails_stops_the_listing(tmp_path, monkeypatch):
+    # the listing waits at the third task of size 5 until the helper has
+    # failed on its first task and exited; then the listing stops, this
+    # process runs no task, and the helper's exception is raised
+    parent = os.getpid()
+    real_list, real_load = enumeration.subtree_tasks, enumeration._load_checkpoint
+    listed, ran = [], []
+
+    def run_subtree(args):
+        if os.getpid() != parent:
+            raise ValueError("a fault in the helper")
+        ran.append(args[0])
+        return []
+
+    def listing(*args):
+        tasks = real_list(*args)
+        listed.append(len(tasks))
+        return tasks
+
+    def load(path, rack, prefix):
+        if path.name.endswith("task0002.json"):
+            # the helper has exited, unreaped, once waitid reports it
+            _wait_for(lambda: os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT))
+        return real_load(path, rack, prefix)
+
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    monkeypatch.setattr(enumeration, "subtree_tasks", listing)
+    monkeypatch.setattr(enumeration, "_load_checkpoint", load)
+    with pytest.raises(ValueError, match="a fault in the helper"):
+        run(5, "involutive", jobs=2, checkpoint_dir=tmp_path)
+    assert listed == ran == []
+
+
+def test_a_damaged_checkpoint_listed_after_the_fork_stops_the_run(tmp_path, monkeypatch):
+    # the first ten tasks are pending, so the helper is forked before the
+    # listing reaches the last task, whose checkpoint is damaged; the helper
+    # takes 0.2 s a task, and stops after the one it is on
+    ckpt, started = tmp_path / "ckpt", tmp_path / "started"
+    run(5, "involutive", checkpoint_dir=ckpt)
+    paths = sorted(ckpt.glob("*.json"))
+    for path in paths[:10]:
+        path.unlink()
+    paths[-1].write_text('{"version": 99}')
+    real = enumeration._run_subtree
+
+    def run_subtree(args):
+        _mark(started, args[0])
+        time.sleep(0.2)
+        return real(args)
+
+    monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(CheckpointMismatchError):
+        run(5, "involutive", jobs=2, checkpoint_dir=ckpt)
+    assert len(forks) == 1
+    assert len(_marked(started)) < 10
+
+
+def test_a_time_budget_spent_in_the_listing_keeps_the_helpers_tasks(tmp_path, monkeypatch):
+    # the listing waits at the third task of size 6 until the helper has
+    # checkpointed a task and the budget has run out; then the listing
+    # stops, and the tasks the helper finished are the run's completed ones
+    budget = 1.0
+    real_list, real_load = enumeration.subtree_tasks, enumeration._load_checkpoint
+    listed = []
+
+    def listing(*args):
+        tasks = real_list(*args)
+        listed.append(len(tasks))
+        return tasks
+
+    def load(path, rack, prefix):
+        if path.name.endswith("task0002.json"):
+            _wait_for(lambda: any(tmp_path.glob("*.json")))
+            time.sleep(budget)
+        return real_load(path, rack, prefix)
+
+    monkeypatch.setattr(enumeration, "subtree_tasks", listing)
+    monkeypatch.setattr(enumeration, "_load_checkpoint", load)
+    with pytest.raises(PartialResultError) as exc:
+        run(6, "involutive", jobs=2, time_budget=budget, checkpoint_dir=tmp_path)
+    assert listed == []
+    assert exc.value.total_tasks == 0
+    completed = exc.value.completed_tasks
+    assert completed == sorted(int(p.stem[-4:]) for p in tmp_path.glob("*.json"))
+    assert completed
 
 
 def test_a_helper_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
@@ -1004,9 +1261,7 @@ def test_a_helper_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
         if os.getpid() != parent:
             died.touch()
             os._exit(3)
-        give_up = time.monotonic() + 10
-        while not died.exists() and time.monotonic() < give_up:
-            time.sleep(0.01)
+        _wait_for(died.exists)
         return real(args)
 
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
@@ -1015,7 +1270,6 @@ def test_a_helper_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
         run(4, "involutive", jobs=2, checkpoint_dir=ckpt)
     assert died.exists()
     assert len(list(ckpt.glob("*.json"))) == len(tasks) - 1
-    _assert_no_child_left()
 
 
 def test_a_helper_leaves_the_parents_pending_output_alone(tmp_path, monkeypatch, capsys):
@@ -1034,7 +1288,6 @@ def test_a_helper_leaves_the_parents_pending_output_alone(tmp_path, monkeypatch,
         print("pending", end="")
         assert cli.main([*argv, "--jobs", "2"]) == 0
     assert out.read_text() == stream
-    _assert_no_child_left()
 
 
 def _count_forks(monkeypatch):
@@ -1065,7 +1318,6 @@ def test_parallel_run_forks_one_helper_fewer_than_its_processes(tmp_path, monkey
         path.unlink()
     assert run(5, "involutive", jobs=8, checkpoint_dir=tmp_path).total == 88
     assert len(forks) == 1 + 2
-    _assert_no_child_left()
 
 
 def test_jobs_above_one_need_fork(monkeypatch):
