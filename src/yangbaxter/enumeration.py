@@ -30,11 +30,11 @@ runs, it gives the nodes there, past the cut and the propagation, as
 prefixes, in sorted order; every other rack is one task.  An involutive
 run takes the trivial rack's tasks, the head of the full list, so a task
 is named by the size and its position alone, and one checkpoint directory
-serves both kinds of run.  Each task is queued as soon as the listing
-reaches it, and with `jobs` j the parent and up to j - 1 helpers, forked
-as the pending tasks appear, take them one at a time from that one queue,
-checkpointing each as it finishes; merged output is a sorted canonical
-list, identical for any parallelism degree.
+serves both kinds of run.  With `jobs` j, j - 1 helpers are forked
+before the listing starts, each task is queued as soon as the listing
+reaches it, and the parent and the helpers take them one at a time from
+that one queue, checkpointing each as it finishes; merged output is a
+sorted canonical list, identical for any parallelism degree.
 """
 
 from __future__ import annotations
@@ -550,21 +550,12 @@ def _run_subtrees(n: int, records, stop, ckpt_dir: Path | None, deadline_at, fin
         return True
 
 
-class _Forked(BaseException):
-    """Unwinds a new helper's copy of the listing it was forked in, so that
-    it runs its tasks from as shallow a stack as the parent.  The search is
-    slower from deep in a stack: CPython maps and unmaps a 16 KiB chunk of
-    its frame stack each time the recursion crosses the end of one.  Run
-    from the listing's depth, a helper's tasks at involutive n=6 took
-    10,000 page faults instead of 1,300, and 40% longer."""
-
-
 def _serve(result: int, n: int, queue: int, stop, ckpt_dir: Path | None, deadline_at) -> None:
-    """A helper's run: the tasks from the queue, then the classes of those
-    it finished and whether time ran out, or the exception it raised, sent
-    as one pickle through the pipe's write end result.  It leaves by
-    `os._exit`, so that it runs no exit handler and flushes none of the
-    buffers it shares with the parent."""
+    """A helper's run, from its fork: the tasks from the queue, then the
+    classes of those it finished and whether time ran out, or the exception
+    it raised, sent as one pickle through the pipe's write end result.  It
+    leaves by `os._exit`, so that it runs no exit handler and flushes none
+    of the buffers it shares with the parent."""
     try:
         finished: dict = {}
         try:
@@ -584,16 +575,15 @@ def _run_tasks(
     """The run's task list, or [] if the listing did not end, and whether
     time ran out; the classes of each task loaded or run go into found.
 
-    As `subtree_tasks` reaches a task, it is loaded from its checkpoint or
-    else queued: written to the pipe, or kept in a backlog while the pipe
-    is full, so that no helper, busy or dead, blocks the listing.  A helper
-    is forked with each pending task from the second on, up to jobs - 1,
-    and runs the tasks it reads from the pipe (`_serve`).  Once the listing
-    ends, this process runs the backlog, moving each task the pipe has room
-    for into it, and then what the pipe still holds.  A helper's exception,
-    or its exit with no result, is raised here.  Once the shared stop byte
-    is set no process starts a task, and every helper is reaped before this
-    returns or raises.
+    The jobs - 1 helpers are forked first, and each runs the tasks it reads
+    from the pipe (`_serve`).  As `subtree_tasks` then reaches a task, it
+    is loaded from its checkpoint or else queued: written to the pipe, or
+    kept in a backlog while the pipe is full, so that no helper, busy or
+    dead, blocks the listing.  Once the listing ends, this process runs the
+    backlog, moving each task the pipe has room for into it, then what the
+    pipe holds.  A helper's exception, or its exit with no result, is raised
+    here.  Once the shared stop byte is set no process starts a task, and
+    every helper is reaped before this returns or raises.
     """
     n = task.size
     parent = os.getpid()
@@ -601,7 +591,6 @@ def _run_tasks(
     queue, tail = os.pipe()
     backlog: deque[bytes] = deque()  # the records the pipe had no room for
     helpers: list[tuple[int, int]] = []  # each helper's pid and its pipe's read end
-    pending = 0
 
     def flush() -> None:
         """Move records from the backlog into the pipe while it has room."""
@@ -613,7 +602,6 @@ def _run_tasks(
             pass
 
     def each(position: int, rack, prefix) -> None:
-        nonlocal pending
         if stop[0]:  # a helper stopped; it says why when it is joined
             raise TimeBudgetExceeded
         if ckpt_dir is not None:
@@ -621,23 +609,6 @@ def _run_tasks(
             if stored is not None:
                 found[position] = stored
                 return
-        pending += 1
-        if 1 < pending <= task.jobs:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                # a read end left open here would keep its pipe open after
-                # the parent closes it
-                for fd in [r] + [fd for _, fd in helpers]:
-                    os.close(fd)
-                raise _Forked(w)
-            os.close(w)
-            helpers.append((pid, r))
         backlog.append(_record(n, position, rack, prefix))
         flush()
 
@@ -653,19 +624,36 @@ def _run_tasks(
     try:
         try:
             try:
+                # forked here, a helper runs its tasks from as shallow a stack as
+                # this process: CPython 3.11 maps and unmaps a 16 KiB frame-stack
+                # chunk each time the search's recursion crosses the end of one,
+                # and from the listing's depth a helper's tasks at involutive n=6
+                # took 10,000 page faults instead of 1,300, and 40% longer
+                for _ in range(task.jobs - 1):
+                    r, w = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        os.close(r)
+                        os.close(w)
+                        raise
+                    if pid == 0:
+                        # a read end left open would outlive the parent's
+                        # close of it, and tail would keep the queue open
+                        for fd in [r, tail] + [fd for _, fd in helpers]:
+                            os.close(fd)
+                        _serve(w, n, queue, stop, ckpt_dir, deadline_at)
+                    os.close(w)
+                    helpers.append((pid, r))
                 os.set_blocking(tail, False)
                 tasks = subtree_tasks(n, task.mode, _Deadline(deadline_at), each)
                 timed_out = _run_subtrees(n, unqueued(), stop, ckpt_dir, deadline_at, found)
-            finally:
-                # in a new helper too: the helpers' reads end once the
-                # queue is empty and every write end is closed
+            finally:  # the helpers' reads end once the queue is empty and closed
                 os.close(tail)
             queued = _records(queue, n)
             timed_out = _run_subtrees(n, queued, stop, ckpt_dir, deadline_at, found) or timed_out
         except TimeBudgetExceeded:
             timed_out = True
-        except _Forked as forked:
-            _serve(forked.args[0], n, queue, stop, ckpt_dir, deadline_at)
         for pid, r in helpers:
             try:
                 with open(r, "rb", closefd=False) as pipe:
@@ -765,15 +753,15 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
         ckpt_dir = Path(task.checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    # each task is queued as soon as the listing reaches it, so a helper
-    # starts while the parent still lists: listing the 132 tasks took a
-    # quarter of an involutive n=5 run at jobs=2, with one core idle.  The
-    # parent and the helpers take tasks one at a time from the one queue,
-    # so a heavy task never holds up others queued behind it, and each
-    # helper hands back its classes once, at the end: one future per task
-    # ran involutive n=5 at jobs=2 20-35% slower on 2 cores, and a process
-    # pool's start and shutdown, with the parent idle, cost that run more
-    # than a second process saved
+    # the helpers are forked first and each task is queued as the listing
+    # reaches it, so they work while the parent lists: listing the 132
+    # tasks took a quarter of an involutive n=5 run at jobs=2, with one core
+    # idle.  All take tasks one at a time from the one queue, so a heavy
+    # task never holds up others queued behind it, and each helper hands
+    # back its classes once, at the end: one future per task ran involutive
+    # n=5 at jobs=2 20-35% slower on 2 cores, and a process pool's start and
+    # shutdown, with the parent idle, cost that run more than a second
+    # process saved
     found: dict[int, list[bytes]] = {}  # the classes of each finished task
     tasks, timed_out = _run_tasks(task, ckpt_dir, deadline_at, found)
     if timed_out:

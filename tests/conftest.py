@@ -21,15 +21,26 @@ def solution_from_cycles(n, sigma_cycles, tau_cycles):
 RUN_LONG = os.environ.get("YBX_RUN_LONG") == "1"
 
 
+def _open_fds():
+    """The process's open file descriptors, or None where they cannot be listed."""
+    fd_dir = "/proc/self/fd"
+    return sorted(map(int, os.listdir(fd_dir))) if os.path.isdir(fd_dir) else None
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Fails a test that leaves a child process, running or unreaped."""
+    """Fails a test that leaves a child process, running or unreaped, or
+    ends with other file descriptors open than it began with."""
+    fds = _open_fds()
     yield
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
-        return
-    pytest.fail("the test left a child process")
+        pass
+    else:
+        pytest.fail("the test left a child process")
+    if _open_fds() != fds:
+        pytest.fail(f"the test began with descriptors {fds} and ended with {_open_fds()}")
 
 
 def classes_of(result):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -1081,7 +1082,7 @@ def test_a_helper_that_dies_with_the_queue_full_does_not_block_the_parent(monkey
 
 def test_a_helper_starts_a_task_before_the_listing_ends(tmp_path, monkeypatch):
     # the listing waits at the third task of size 5 until the helper, forked
-    # at the second, has started a task; a helper forked only after the
+    # before the listing, has started a task; a helper forked only after the
     # listing never does, and the wait gives up
     parent = os.getpid()
     started = tmp_path / "started"
@@ -1115,8 +1116,8 @@ def test_a_helper_starts_a_task_before_the_listing_ends(tmp_path, monkeypatch):
 
 
 def test_a_helper_runs_its_tasks_from_a_stack_as_shallow_as_the_parents(tmp_path, monkeypatch):
-    # the helper is forked deep in the listing, whose frames it unwinds: the
-    # search is slower from deep in a stack (see `enumeration._Forked`)
+    # the helper is forked before the listing, not deep in it: the search is
+    # slower from deep in a stack (see the fork in `enumeration._run_tasks`)
     parent = os.getpid()
     real = enumeration._run_subtree
 
@@ -1136,21 +1137,21 @@ def test_a_helper_runs_its_tasks_from_a_stack_as_shallow_as_the_parents(tmp_path
     assert depths[False] and max(depths[False]) <= min(depths[True]) + 1
 
 
-def test_a_helper_interrupted_as_it_unwinds_never_returns_to_the_caller(tmp_path, monkeypatch):
-    # an interrupt that takes the place of the unwinding reaches the run's
+def test_a_helper_interrupted_as_it_is_forked_never_returns_to_the_caller(tmp_path, monkeypatch):
+    # an interrupt in a new helper, before it can serve, reaches the run's
     # clean-up in the helper, which must leave at once, not go on as a
     # second copy of the caller
     parent = os.getpid()
     escaped = tmp_path / "escaped"
-    real = enumeration.subtree_tasks
+    real = os.fork
 
-    def listing(*args):
-        try:
-            return real(*args)
-        except enumeration._Forked:
-            raise KeyboardInterrupt from None
+    def fork():
+        pid = real()
+        if pid == 0:
+            raise KeyboardInterrupt
+        return pid
 
-    monkeypatch.setattr(enumeration, "subtree_tasks", listing)
+    monkeypatch.setattr(os, "fork", fork)
     try:
         with pytest.raises(RuntimeError, match="exited with no result"):
             run(5, "involutive", jobs=2)
@@ -1195,9 +1196,9 @@ def test_a_helper_that_fails_stops_the_listing(tmp_path, monkeypatch):
 
 
 def test_a_damaged_checkpoint_listed_after_the_fork_stops_the_run(tmp_path, monkeypatch):
-    # the first ten tasks are pending, so the helper is forked before the
-    # listing reaches the last task, whose checkpoint is damaged; the helper
-    # takes 0.2 s a task, and stops after the one it is on
+    # the first ten tasks are pending, and the helper, forked before the
+    # listing, takes them at 0.2 s a task; the listing reaches the last task,
+    # whose checkpoint is damaged, and the helper stops after the one it is on
     ckpt, started = tmp_path / "ckpt", tmp_path / "started"
     run(5, "involutive", checkpoint_dir=ckpt)
     paths = sorted(ckpt.glob("*.json"))
@@ -1308,16 +1309,44 @@ def test_serial_run_forks_no_helper(monkeypatch):
     assert forks == []
 
 
-def test_parallel_run_forks_one_helper_fewer_than_its_processes(tmp_path, monkeypatch):
+def test_parallel_run_forks_its_helpers_before_the_listing(tmp_path, monkeypatch):
+    # --jobs j forks j - 1 helpers, not one process per task (132 at n = 5),
+    # all of them before the listing starts; on a fully checkpointed resume
+    # too, where every helper finds the queue empty
     forks = _count_forks(monkeypatch)
+    real = enumeration.subtree_tasks
+    forked = []
+
+    def listing(*args):
+        forked.append(len(forks))
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "subtree_tasks", listing)
     assert run(5, "involutive", jobs=2, checkpoint_dir=tmp_path).total == 88
-    # one helper, not one process per task (132 at n = 5)
-    assert len(forks) == 1
-    # with 3 tasks pending, --jobs 8 starts 3 processes
-    for path in sorted(tmp_path.glob("*.json"))[:3]:
-        path.unlink()
-    assert run(5, "involutive", jobs=8, checkpoint_dir=tmp_path).total == 88
-    assert len(forks) == 1 + 2
+    assert forked == [len(forks)] == [1]
+    assert run(5, "involutive", jobs=4, checkpoint_dir=tmp_path).total == 88
+    assert forked == [1, len(forks)] == [1, 1 + 3]
+
+
+def test_a_fork_that_fails_reaps_the_helpers_forked_before_it(monkeypatch):
+    # the second of the two forks of --jobs 3 fails; the run raises once the
+    # first helper, whose queue ends as this process closes its write end,
+    # is reaped
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with _within(20), pytest.raises(OSError):
+        run(5, "involutive", jobs=3)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_jobs_above_one_need_fork(monkeypatch):
