@@ -14,17 +14,19 @@ from functools import cached_property
 
 from .perms import (
     Perm,
+    cayley_table,
     compose,
     identity as identity_perm,
     invert,
     table_isomorphisms,
 )
 
-MAX_GENERATED_ORDER = 100_000
+MAX_GENERATED_ORDER = 5040  # |Sym(7)|: a 25 M-entry table, 7 s and 0.21 GB
 
 
 class GroupSizeError(ValueError):
-    """Closure would exceed MAX_GENERATED_ORDER elements."""
+    """Closure would exceed MAX_GENERATED_ORDER elements, whose |G|^2 table
+    would not fit: Sym(8)'s would hold 1.6e9 entries, over 10 GB."""
 
 
 class NotAGroupError(ValueError):
@@ -135,7 +137,7 @@ def from_table(table) -> FiniteGroup:
 
 
 def generate(generators, degree: int | None = None) -> FiniteGroup:
-    """Close a set of permutations under composition.
+    """Close a set of permutations under composition; `perms.cayley_table` tabulates it.
 
     Elements receive indices in breadth-first discovery order starting from
     the identity, with the generators visited in lexicographic order; the
@@ -164,17 +166,13 @@ def generate(generators, degree: int | None = None) -> FiniteGroup:
             if nxt not in index:
                 if len(elements) >= MAX_GENERATED_ORDER:
                     raise GroupSizeError(
-                        f"closure exceeds {MAX_GENERATED_ORDER} elements"
+                        f"closure exceeds {MAX_GENERATED_ORDER} elements, too many to tabulate"
                     )
                 index[nxt] = len(elements)
                 elements.append(nxt)
 
-    n = len(elements)
-    table = tuple(
-        tuple(index[compose(a, b)] for b in elements) for a in elements
-    )
     inv = tuple(index[invert(a)] for a in elements)
-    return FiniteGroup(n, table, inv, perms=tuple(elements))
+    return FiniteGroup(len(elements), cayley_table(elements), inv, perms=tuple(elements))
 
 
 def orbit(generators, point: int) -> set[int]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterator
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 Table = tuple[tuple[int, ...], ...]
@@ -34,6 +35,18 @@ def is_perm(p) -> bool:
 def compose(p: Perm, q: Perm) -> Perm:
     """Product p*q acting as "q first, then p": (p*q)(i) = p[q[i]]."""
     return tuple(p[j] for j in q)
+
+
+def composer(q: Perm):
+    """p -> compose(p, q) at C level (itemgetter returns a bare entry for one index)."""
+    return itemgetter(*q) if len(q) > 1 else lambda p: compose(p, q)
+
+
+def cayley_table(elements) -> Table:
+    """Entry (i, j) is the index of compose(elements[i], elements[j]) in a list
+    closed under composition; each column comes from one `composer`."""
+    index = {p: i for i, p in enumerate(elements)}.__getitem__
+    return tuple(zip(*(map(index, map(composer(q), elements)) for q in elements)))
 
 
 def invert(p: Perm) -> Perm:

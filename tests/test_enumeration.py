@@ -1443,6 +1443,34 @@ def test_brace_leaf_rule_matches_the_whole_table_rule():
     assert sum(kept) == 62 and not all(kept)
 
 
+def test_brace_search_reaches_each_labeled_brace_once_as_a_leaf(monkeypatch):
+    # the leaf rule runs once per completed map, so the search's leaves are
+    # exactly the labeled braces on G's least table, each reached once
+    cut = enumeration.has_smaller_relabeling
+    leaves = []
+
+    def spy(rows, group=None):
+        leaves.append(rows)
+        return cut(rows, group)
+
+    monkeypatch.setattr(enumeration, "has_smaller_relabeling", spy)
+    for n in range(1, 9):
+        leaf_counts, kept_counts = [], []
+        for G in groups.groups_of_order(n):
+            least = groups.from_table(
+                relabel_table(G.table, least_relabeling((G.table,), 1)[1])
+            )
+            leaves.clear()
+            kept = enumeration._braces_on_group(G)
+            labeled = [A.mul for A in labeled_braces_on_group(least)]
+            assert sorted(leaves) == sorted(labeled)
+            leaf_counts.append(len(leaves))
+            kept_counts.append(len(kept))
+        if n == 8:
+            assert leaf_counts == [6, 28, 232, 20, 28]
+            assert kept_counts == [5, 14, 8, 12, 8]
+
+
 @pytest.fixture()
 def brace_calls(monkeypatch):
     """How often brace_canonical_form and verify_brace run during the test."""

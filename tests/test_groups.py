@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from yangbaxter import groups, perms
@@ -42,6 +44,14 @@ def test_generate_respects_size_cap(monkeypatch):
     monkeypatch.setattr(groups, "MAX_GENERATED_ORDER", 10)
     with pytest.raises(GroupSizeError):
         groups.generate({(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)})
+
+
+def test_generate_stops_before_a_table_too_large_to_build():
+    # Sym(8) closes at 40,320 elements, whose table would hold 1.6e9 entries
+    start = time.perf_counter()
+    with pytest.raises(GroupSizeError):
+        groups.symmetric_group(8)
+    assert time.perf_counter() - start < 1
 
 
 def test_transitivity():

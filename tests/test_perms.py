@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import smaller_relabeling_brute
 
-from yangbaxter import perms
+from yangbaxter import groups, perms
 
 
 def test_compose_applies_right_factor_first():
@@ -17,6 +17,30 @@ def test_invert_round_trip():
     p = (2, 0, 3, 1)
     assert perms.compose(p, perms.invert(p)) == perms.identity(4)
     assert perms.compose(perms.invert(p), p) == perms.identity(4)
+
+
+def compose_table(elements):
+    index = {p: i for i, p in enumerate(elements)}
+    return tuple(tuple(index[perms.compose(p, q)] for q in elements) for p in elements)
+
+
+def test_cayley_table_matches_compose():
+    # the automorphism lists of every group of order <= 8 (168^2 products on
+    # C2^3), the elements of generated groups, and the one-point list, where
+    # itemgetter would return a bare entry, not a 1-tuple
+    lists = [groups.automorphisms(G) for n in range(1, 9) for G in groups.groups_of_order(n)]
+    assert max(map(len, lists)) == 168
+    generated = [
+        groups.symmetric_group(5),
+        groups.dihedral_group(5),
+        groups.generate({(1, 0, 2, 3), (0, 1, 3, 2)}),
+        groups.generate(set(), degree=1),
+    ]
+    for G in generated:
+        assert G.table == compose_table(G.perms)
+    lists += [G.perms for G in generated] + [[(0,)]]
+    for elements in lists:
+        assert perms.cayley_table(elements) == compose_table(elements)
 
 
 @pytest.mark.parametrize(
