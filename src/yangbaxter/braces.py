@@ -292,19 +292,6 @@ def is_star_associative(A: SkewBrace) -> bool:
     )
 
 
-def star_forms_radical_ring(A: SkewBrace) -> bool:
-    """Check that (A, +, *) is a radical ring (abelian-type, star-associative input)."""
-    if not A.is_abelian_type:
-        raise ValueError("requires a brace of abelian type")
-    if not is_star_associative(A):
-        raise ValueError("requires a star-associative brace")
-    try:
-        verify_ring(A.size, A.add, star_table(A), require_radical=True)
-    except InvalidRingError:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Ideals
 

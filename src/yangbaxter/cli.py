@@ -23,6 +23,7 @@ from pathlib import Path
 from . import braces as braces_mod
 from . import enumeration, fileio, solutions, structgroup
 from .braces import FiniteRing, SkewBrace
+from .perms import tables_from_bytes
 from .solutions import Solution
 
 STRUCTURED_SCHEMA = 1
@@ -141,8 +142,8 @@ def cmd_enumerate(args) -> int:
         print(f"total: {counts['total']}")
     if args.count_only:
         return 0
-    # each class is rebuilt, and so verified, just before its record is written
-    classes = (solutions.solution_from_canonical(blob) for blob in result.canonicals)
+    # each class was verified once, at its leaf or by the checkpoint loader
+    classes = (Solution(result.size, *tables_from_bytes(b, 2)) for b in result.canonicals)
     if args.out_dir:
         for i, sol in enumerate(classes):
             (Path(args.out_dir) / f"{result.mode}-n{result.size}-{i:05d}.txt").write_text(

@@ -434,8 +434,8 @@ def _search(n: int, rack, prefix, deadline: _Deadline, stop=None, reach=None) ->
                 tuple(L[u][rack[u][x]] for x, u in enumerate(col))
                 for col in zip(*sigma)
             )
-            # a leaf that fails is a fault in the propagation rules, which
-            # would otherwise lose its class without a word
+            # the class's one full verify: a leaf that fails is a fault in the
+            # propagation rules, which would otherwise lose its class silently
             diagnostic = solutions.diagnose(n, sigma, tau)
             if diagnostic is not None:
                 raise solutions.InvalidSolutionError(diagnostic)
@@ -737,9 +737,9 @@ def _store_checkpoint(path: Path, rack, prefix, classes: list[bytes]) -> None:
 def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
     """One canonical representative per isomorphism class at the given size.
 
-    Identical output for any `jobs` value: task results are merged into a
-    sorted set of canonical forms.  With a checkpoint directory, finished
-    tasks are persisted and reused on resume.
+    Identical output for any `jobs` value: each class reaches one leaf of one
+    task, so the result is the tasks' disjoint class lists, sorted together.
+    With a checkpoint directory, finished tasks are persisted and reused on resume.
     """
     task.validate()
     # the budget covers listing the tasks too, which takes about 40 s at
@@ -773,12 +773,10 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
             len(tasks),
         )
 
-    # a class is involutive exactly when its task's rack is trivial (the
-    # loader checks it), and each class reaches one leaf of one task
+    # a class is involutive exactly when its rack is trivial (the loader checks it)
     trivial = (tuple(range(n)),) * n
     involutive = sum(len(found[i]) for i, (rack, _) in enumerate(tasks) if rack == trivial)
-    merged = {blob for classes in found.values() for blob in classes}
-    return EnumerationResult(n, task.mode, sorted(merged), involutive)
+    return EnumerationResult(n, task.mode, sorted(chain(*found.values())), involutive)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The closure engine turns a set of permutations into a concrete table; the
 rest of the module computes the structural predicates needed elsewhere:
-transitivity, exponent, center quotients, solvability, Sylow cyclicity and
-powerfulness.  Everything is immutable after construction.
+transitivity, exponent, center quotients and Sylow cyclicity.  Everything
+is immutable after construction.
 """
 
 from __future__ import annotations
@@ -263,23 +263,6 @@ def quotient_exponent_mod_center(G: FiniteGroup) -> int:
     return exponent(quotient(G, center(G)))
 
 
-def derived_members(G: FiniteGroup, members) -> frozenset[int]:
-    t, inv = G.table, G.inv
-    commutators = {
-        t[t[inv[a]][inv[b]]][t[a][b]] for a in members for b in members
-    }
-    return closure(G, commutators)
-
-
-def is_solvable(G: FiniteGroup) -> bool:
-    current: frozenset[int] = frozenset(G.elements())
-    while True:
-        nxt = derived_members(G, current)
-        if nxt == current:
-            return current == {0}
-        current = nxt
-
-
 def has_all_cyclic_sylows(G: FiniteGroup) -> bool:
     """For each prime p | |G|, some element realizes the full p-part of |G|.
 
@@ -299,16 +282,6 @@ def has_all_cyclic_sylows(G: FiniteGroup) -> bool:
     return True
 
 
-def is_powerful(G: FiniteGroup, p: int) -> bool:
-    """Powerfulness of a finite p-group: G/G^p abelian (G/G^4 when p = 2)."""
-    if not _is_prime_power_of(G.order, p):
-        raise ValueError(f"group order {G.order} is not a power of {p}")
-    k = 4 if p == 2 else p
-    powers = {G.power(g, k) for g in G.elements()}
-    sub = closure(G, powers)
-    return quotient(G, sub).is_abelian
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -321,14 +294,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _is_prime_power_of(n: int, p: int) -> bool:
-    if p < 2 or n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # Stock groups, used by tests and by the brace enumeration.

@@ -21,7 +21,10 @@ keeps.  The counting helpers and `orbit_sum` give the two sides of the
 orbit-counting identity: the number of labeled solutions equals the sum of
 n!/|Aut(s)| over the classes s.  `guess_by_linear_solves` is the series
 guess before it used Berlekamp-Massey: one exact linear solve per order,
-then a polynomial gcd.
+then a polynomial gcd.  `is_solvable`, `is_powerful` and
+`star_forms_radical_ring` are structural predicates that only the tests
+ask for: solvability by the derived series, powerfulness of a p-group, and
+whether the star product of a brace makes a radical ring.
 """
 
 from __future__ import annotations
@@ -667,3 +670,51 @@ def _poly_div(a, b):
             rem[shift + i] -= factor * c
         rem = _trim(rem)
     return _trim(out) or [Fraction(0)]
+
+
+def derived_members(G: groups.FiniteGroup, members) -> frozenset[int]:
+    t, inv = G.table, G.inv
+    commutators = {
+        t[t[inv[a]][inv[b]]][t[a][b]] for a in members for b in members
+    }
+    return groups.closure(G, commutators)
+
+
+def is_solvable(G: groups.FiniteGroup) -> bool:
+    current: frozenset[int] = frozenset(G.elements())
+    while True:
+        nxt = derived_members(G, current)
+        if nxt == current:
+            return current == {0}
+        current = nxt
+
+
+def is_powerful(G: groups.FiniteGroup, p: int) -> bool:
+    """Powerfulness of a finite p-group: G/G^p abelian (G/G^4 when p = 2)."""
+    if not _is_prime_power_of(G.order, p):
+        raise ValueError(f"group order {G.order} is not a power of {p}")
+    k = 4 if p == 2 else p
+    powers = {G.power(g, k) for g in G.elements()}
+    sub = groups.closure(G, powers)
+    return groups.quotient(G, sub).is_abelian
+
+
+def _is_prime_power_of(n: int, p: int) -> bool:
+    if p < 2 or n < 1:
+        return False
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def star_forms_radical_ring(A: SkewBrace) -> bool:
+    """Check that (A, +, *) is a radical ring (abelian-type, star-associative input)."""
+    if not A.is_abelian_type:
+        raise ValueError("requires a brace of abelian type")
+    if not braces.is_star_associative(A):
+        raise ValueError("requires a star-associative brace")
+    try:
+        braces.verify_ring(A.size, A.add, braces.star_table(A), require_radical=True)
+    except braces.InvalidRingError:
+        return False
+    return True

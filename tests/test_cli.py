@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from yangbaxter import braces, enumeration, fileio, groups, solutions
+from yangbaxter import braces, cli, enumeration, fileio, groups, solutions
 from yangbaxter.cli import main
 
 
@@ -104,15 +104,15 @@ def test_enumerate_count_only_all(capsys):
 
 @pytest.fixture()
 def rebuilds(monkeypatch):
-    """The blobs handed to solution_from_canonical while the test runs."""
+    """The blobs the enumerate command decodes into classes while the test runs."""
     calls = []
-    rebuild = solutions.solution_from_canonical
+    decode = cli.tables_from_bytes
 
-    def counting(blob):
+    def counting(blob, count):
         calls.append(blob)
-        return rebuild(blob)
+        return decode(blob, count)
 
-    monkeypatch.setattr(solutions, "solution_from_canonical", counting)
+    monkeypatch.setattr(cli, "tables_from_bytes", counting)
     return calls
 
 
@@ -165,6 +165,37 @@ def test_enumerate_stream_text_is_pinned(capsys, tmp_path, argv):
     code, _, _ = run_cli(capsys, "enumerate", *argv, "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv, runs, calls, digest", [
+    # all mode n=5 (490,617 bytes), the same with --jobs 1 and 2
+    (("--size", "5", "--cap", "5", "--jobs", "1"), 1, 3607,
+     "bfa6536960210dd59f83c16a1f71ac5757b11aae948070b30bb99fcd992badce"),
+    # a search that checkpoints each task, then a resume that loads them all
+    (("--size", "4", "--jobs", "1", "--checkpoint", "D"), 2, 253,
+     STREAM_DIGESTS[("--size", "4", "--jobs", "1")]),
+])
+def test_enumerate_verifies_each_written_class_once(
+    capsys, tmp_path, monkeypatch, argv, runs, calls, digest
+):
+    # each class is diagnosed once, at its leaf or by the checkpoint loader,
+    # and its record is written from those bytes without a second verify
+    diagnosed = []
+    diagnose = solutions.diagnose
+
+    def counting(n, sigma, tau):
+        diagnosed.append(sigma)
+        return diagnose(n, sigma, tau)
+
+    monkeypatch.setattr(solutions, "diagnose", counting)
+    argv = [str(tmp_path / "ckpt") if arg == "D" else arg for arg in argv]
+    out = tmp_path / "stream.txt"
+    for _ in range(runs):
+        diagnosed.clear()
+        code, _, _ = run_cli(capsys, "enumerate", *argv, "--out", str(out))
+        assert code == 0
+        assert len(diagnosed) == calls
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_enumerate_stdout_is_the_counts_then_the_stream_file(capsys, tmp_path):

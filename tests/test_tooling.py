@@ -65,7 +65,7 @@ def test_traced_braces_run_passes_its_checks():
 
 
 def test_traced_involutive_run_passes_its_checks():
-    # the one workload through the process pool: its --jobs 2 operation's
+    # the one workload that forks --jobs helpers: its --jobs 2 operation's
     # stream must be byte-identical to the serial ones
     result = _traced_run("involutive-5")
     assert result["metrics"]["enumeration.subtrees"]["value"] == 132
