@@ -9,7 +9,10 @@ I/O or parse errors.  Failures follow one rule: the subcommands that take
 object with `ok: false` in structured mode; every other subcommand reports
 them on standard error.  Structured output mode emits one JSON object per
 line, schema-versioned.  Indices in files are 0-based; human-facing flags
-accept 1-based cycle notation and 1-based words.
+accept 1-based cycle notation and 1-based words.  `main` builds only the
+parser of the subcommand its first argument names, and the whole tree when
+that argument names none (help, no arguments, a typo), since building all
+eleven subparsers took most of a short command's time.
 """
 
 from __future__ import annotations
@@ -127,7 +130,9 @@ def cmd_enumerate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except enumeration.EnumerationCapError as exc:
-        print(f"error: {exc} with --cap {args.size}", file=sys.stderr)
+        # only the mode cap, which ends "raise the cap for a long run", has a flag
+        hint = f" with --cap {args.size}" if str(exc).endswith("long run") else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 1
     except enumeration.PartialResultError as exc:
         print(f"error: partial result: {exc}", file=sys.stderr)
@@ -238,31 +243,24 @@ def _number_from(low, kind=int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ybx",
-        description="Verify, classify and enumerate braid-identity solutions "
-        "and finite skew braces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _file_command(group, name, func, kinds, summary):
+    """A subcommand that reads one record file of the given kinds."""
+    p = group.add_parser(name, help=summary)
+    p.add_argument("path")
+    p.set_defaults(func=func, kinds=kinds)
+    return p
 
-    def file_command(group, name, func, kinds, summary):
-        """A subcommand that reads one record file of the given kinds."""
-        p = group.add_parser(name, help=summary)
-        p.add_argument("path")
-        p.set_defaults(func=func, kinds=kinds)
-        return p
 
-    for name, func, kinds, summary in [
-        ("verify", cmd_verify, (Solution, SkewBrace, FiniteRing),
-         "validate a solution/brace/ring file"),
-        ("analyze", cmd_analyze, (Solution, SkewBrace),
-         "full report for a solution or brace"),
-    ]:
-        p = file_command(sub, name, func, kinds, summary)
+def _format_command(func, kinds, summary):
+    """The builder of a file subcommand that also takes --format."""
+    def build(sub, name):
+        p = _file_command(sub, name, func, kinds, summary)
         p.add_argument("--format", choices=["text", "structured"], default="text")
+    return build
 
-    p = sub.add_parser("enumerate", help="isomorph-free enumeration by size")
+
+def _enumerate_command(sub, name):
+    p = sub.add_parser(name, help="isomorph-free enumeration by size")
     p.add_argument("--size", type=_number_from(1), required=True)
     p.add_argument("--involutive", action="store_true")
     p.add_argument("--jobs", type=_number_from(1), default=1)
@@ -278,32 +276,66 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out-dir", default=None, help="write one file per class")
     p.set_defaults(func=cmd_enumerate)
 
-    file_command(sub, "repr", cmd_repr, (Solution,),
-                 "print the affine generator matrices")
 
-    p = file_command(sub, "growth", cmd_growth, (Solution,),
-                     "Cayley ball sizes and a series guess")
+def _growth_command(sub, name):
+    p = _file_command(sub, name, cmd_growth, (Solution,), "Cayley ball sizes and a series guess")
     p.add_argument("--radius", type=_number_from(0), required=True)
     p.add_argument("--guess", action="store_true")
 
-    p = file_command(sub, "upp", cmd_upp, (Solution,),
-                     "unique-product falsifier on a word pair")
+
+def _upp_command(sub, name):
+    p = _file_command(sub, name, cmd_upp, (Solution,), "unique-product falsifier on a word pair")
     p.add_argument("--x", required=True, help="word, e.g. \"1 2'\"")
     p.add_argument("--y", required=True, help="word, e.g. \"1 3'\"")
 
-    actions = sub.add_parser("brace", help="brace-specific operations").add_subparsers(
-        dest="action", required=True)
-    file_command(actions, "verify", cmd_verify, (SkewBrace,), "verify, brace files only")
-    file_command(actions, "analyze", cmd_analyze, (SkewBrace,), "analyze, brace files only")
-    file_command(actions, "solution", cmd_brace, (SkewBrace,), "the associated solution")
-    file_command(actions, "ring", cmd_brace, (SkewBrace, FiniteRing),
-                 "two-sided brace <-> radical ring")
 
+def _brace_command(sub, name):
+    actions = sub.add_parser(name, help="brace-specific operations").add_subparsers(
+        dest="action", required=True)
+    _file_command(actions, "verify", cmd_verify, (SkewBrace,), "verify, brace files only")
+    _file_command(actions, "analyze", cmd_analyze, (SkewBrace,), "analyze, brace files only")
+    _file_command(actions, "solution", cmd_brace, (SkewBrace,), "the associated solution")
+    _file_command(actions, "ring", cmd_brace, (SkewBrace, FiniteRing),
+                  "two-sided brace <-> radical ring")
+
+
+# the builder of each subcommand's parser, in the order `ybx --help` lists them
+_BUILDERS = {
+    "verify": _format_command(cmd_verify, (Solution, SkewBrace, FiniteRing),
+                              "validate a solution/brace/ring file"),
+    "analyze": _format_command(cmd_analyze, (Solution, SkewBrace),
+                               "full report for a solution or brace"),
+    "enumerate": _enumerate_command,
+    "repr": lambda sub, name: _file_command(sub, name, cmd_repr, (Solution,),
+                                            "print the affine generator matrices"),
+    "growth": _growth_command,
+    "upp": _upp_command,
+    "brace": _brace_command,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ybx parser, with every subcommand, or with only `command` when it
+    names one."""
+    parser = argparse.ArgumentParser(
+        prog="ybx",
+        description="Verify, classify and enumerate braid-identity solutions "
+        "and finite skew braces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _BUILDERS:
+        # the usage line of an unrecognized-argument error still lists them all
+        sub.metavar = "{" + ",".join(_BUILDERS) + "}"
+        _BUILDERS[command](sub, command)
+    else:
+        for name, build in _BUILDERS.items():
+            build(sub, name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except _Failure as failure:

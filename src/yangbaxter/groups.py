@@ -113,14 +113,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv[a], -k)
-        x = 0
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
-
     @cached_property
     def is_abelian(self) -> bool:
         t = self.table

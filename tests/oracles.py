@@ -13,6 +13,9 @@ under a pigeonhole bound, then tau rows over forced cell domains, without
 the derived rack) are the two searches without the lex-leader prune: they
 canonicalize every leaf.  `labeled_racks` lists every rack table, and
 `derived_rack` reads a solution's rack off its tables.
+`rack_labeled_solutions` lists the labeled solutions with a given derived
+rack from the rack alone: sigma rows in the rack's automorphism group and
+the tau that the rack forces, each candidate checked by `diagnose`.
 `bipartition_decomposable` is the decomposability test before it read
 transitivity: it tries every split of the points into two blocks.
 `smaller_relabeling_brute` tries every relabeling the prune may use, and
@@ -447,6 +450,30 @@ def derived_rack(s: solutions.Solution):
     )
 
 
+def rack_labeled_solutions(rack):
+    """Every labeled solution whose derived rack is `rack`, a table
+    C[u][x] = x <| u as `derived_rack` reads it.  The candidates are every
+    sigma whose rows are automorphisms of the rack, found by a scan of
+    Sym(n), each with the one tau whose derived rack is C:
+    tau_y(x) = sigma_u^-1(x <| u) with u = sigma_x(y).  A candidate is kept
+    when `solutions.diagnose` accepts it and its derived rack is C."""
+    n = len(rack)
+    aut = [
+        g for g in all_perms(n)
+        if all(g[rack[u][x]] == rack[g[u]][g[x]] for u, x in product(range(n), repeat=2))
+    ]
+    for sigma in product(aut, repeat=n):
+        inv = [invert(row) for row in sigma]
+        tau = tuple(
+            tuple(inv[sigma[x][y]][rack[sigma[x][y]][x]] for x in range(n))
+            for y in range(n)
+        )
+        if solutions.diagnose(n, sigma, tau) is None:
+            s = solutions.Solution(n, sigma, tau)
+            if derived_rack(s) == rack:
+                yield s
+
+
 def bipartition_decomposable(s: solutions.Solution) -> bool:
     """Whether some split of the points into two nonempty blocks, both
     closed under r, exists; all 2^(n-1) - 1 splits are tried."""
@@ -694,9 +721,17 @@ def is_powerful(G: groups.FiniteGroup, p: int) -> bool:
     if not _is_prime_power_of(G.order, p):
         raise ValueError(f"group order {G.order} is not a power of {p}")
     k = 4 if p == 2 else p
-    powers = {G.power(g, k) for g in G.elements()}
+    powers = {_power(G, g, k) for g in G.elements()}
     sub = groups.closure(G, powers)
     return groups.quotient(G, sub).is_abelian
+
+
+def _power(G: groups.FiniteGroup, a: int, k: int) -> int:
+    """a^k in G, for k >= 0."""
+    x = 0
+    for _ in range(k):
+        x = G.table[x][a]
+    return x
 
 
 def _is_prime_power_of(n: int, p: int) -> bool:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -262,6 +263,43 @@ def test_enumerate_cap_error_names_the_flag(capsys, argv, message):
     code, out, err = run_cli(capsys, "enumerate", *argv, "--count-only")
     assert code == 1 and out == ""
     assert err == f"error: {message}; raise the cap for a long run with --cap {argv[1]}\n"
+
+
+def test_enumerate_pipe_buf_cap_error_names_no_flag(capsys):
+    # --cap cannot raise the PIPE_BUF bound, so the error does not suggest it
+    code, out, err = run_cli(capsys, "enumerate", "--size", "22", "--cap", "22", "--count-only")
+    assert code == 1 and out == ""
+    assert err == "error: size 22 exceeds 21, the largest whose task records fit in PIPE_BUF\n"
+
+
+def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch, sol_file):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["growth", sol_file, "--radius", "3"]) == 0
+    assert built == ["growth"]
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 11  # seven subcommands and brace's four actions
+
+
+@pytest.mark.parametrize("argv, code", [
+    ((), 2),
+    (("--help",), 0),
+    (("bogus",), 2),
+    (("growth", "FILE", "--radius", "3", "extra"), 2),
+])
+def test_top_level_usage_lists_every_subcommand(capsys, sol_file, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main([sol_file if arg == "FILE" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == code
+    assert "{verify,analyze,enumerate,repr,growth,upp,brace}" in captured.out + captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,6 +27,7 @@ from oracles import (
     labeled_solutions,
     lex_leader_pairs,
     orbit_sum,
+    rack_labeled_solutions,
     row_generator_nodes,
     row_products_hold,
     smaller_relabeling_brute,
@@ -382,10 +383,22 @@ def test_labeled_count_is_the_orbit_sum(n, labeled, involutive_corpus):
     assert orbit_sum(involutive_corpus[n]) == labeled
 
 
-@pytest.mark.parametrize("n, labeled", [(1, 1), (2, 4), (3, 66)])
+@pytest.mark.parametrize("n, labeled", [(1, 1), (2, 4), (3, 66), (4, 1800)])
 def test_all_mode_labeled_count_is_the_orbit_sum(n, labeled):
-    assert sum(1 for _ in labeled_solutions(n)) == labeled
-    assert orbit_sum(classes_of(run(n, "all"))) == labeled
+    classes = classes_of(run(n, "all"))
+    if n <= 3:
+        assert sum(1 for _ in labeled_solutions(n)) == labeled
+    else:
+        # the involutive solutions are those on the trivial rack; the others
+        # are counted from their racks, one rack class at a time
+        count = labeled_involutive_count(n)
+        for rack in enumeration.racks(n)[1:]:
+            relabelings = {relabel_table(rack, g) for g in all_perms(n)}
+            found = sum(1 for C in relabelings for _ in rack_labeled_solutions(C))
+            assert found == orbit_sum(s for s in classes if derived_rack(s) in relabelings)
+            count += found
+        assert count == labeled
+    assert orbit_sum(classes) == labeled
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

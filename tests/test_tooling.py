@@ -153,9 +153,12 @@ def test_readme_cli_lines_parse():
     assert len(commands) >= 10
     for argv in commands:
         try:
-            parser.parse_args(argv[1:])
+            full = parser.parse_args(argv[1:])
+            alone = cli.build_parser(argv[1]).parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+        # the parser main builds for the command alone reads it the same way
+        assert alone == full, shlex.join(argv)
     options = {opt for sub in subcommands.values() for a in sub._actions
                for opt in a.option_strings}
     named = set(re.findall(r"`(--[a-z][a-z-]*)", readme))
