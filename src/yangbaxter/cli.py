@@ -150,8 +150,9 @@ def cmd_enumerate(args) -> int:
     # each class was verified once, at its leaf or by the checkpoint loader
     classes = (Solution(result.size, *tables_from_bytes(b, 2)) for b in result.canonicals)
     if args.out_dir:
+        width = max(5, len(str(result.total - 1)))  # so the names sort in stream order
         for i, sol in enumerate(classes):
-            (Path(args.out_dir) / f"{result.mode}-n{result.size}-{i:05d}.txt").write_text(
+            (Path(args.out_dir) / f"{result.mode}-n{result.size}-{i:0{width}d}.txt").write_text(
                 fileio.solution_to_text(sol), encoding="utf-8"
             )
         return 0

@@ -33,18 +33,20 @@ is named by the size and its position alone, and one checkpoint directory
 serves both kinds of run.  With `jobs` j, j - 1 helpers are forked
 before the listing starts, each task is queued as soon as the listing
 reaches it, and the parent and the helpers take them one at a time from
-that one queue, checkpointing each as it finishes; merged output is a
-sorted canonical list, identical for any parallelism degree.
+that one queue, each logging the tasks it finishes to a file of its own;
+merged output is a sorted canonical list, identical for any `jobs`.
 """
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
 import pickle
+import tempfile
 import time
+from binascii import hexlify, unhexlify
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -57,7 +59,7 @@ from .perms import cayley_table, composer, least_relabeling, relabel_table, tabl
 from .solutions import Solution
 
 DEFAULT_CAPS = {"involutive": 6, "all": 4}
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 class EnumerationCapError(ValueError):
@@ -521,14 +523,12 @@ def _records(queue: int, n: int):
     return iter(lambda: os.read(queue, 5 + n * (n + 2)), b"")
 
 
-def _run_subtrees(n: int, records, stop, ckpt_dir: Path | None, deadline_at, finished) -> bool:
+def _run_subtrees(n: int, records, stop, log, deadline_at) -> bool:
     """Run the tasks of the records in turn, until they end or the stop byte
-    is set, putting each one's classes into finished by position.
-
-    Each finished task is checkpointed at once.  Returns whether time ran
-    out.  A timeout, an interrupt or a fault sets the stop byte, so that no
-    other process starts a task either.
-    """
+    is set, appending each one's record and sorted classes, in hex, to log
+    as one line before the next one starts.  Returns whether time ran out;
+    a timeout, an interrupt or a fault sets the stop byte, so that no other
+    process starts a task either."""
     try:
         for record in records:
             if stop[0]:
@@ -539,9 +539,8 @@ def _run_subtrees(n: int, records, stop, ckpt_dir: Path | None, deadline_at, fin
             if deadline_at is not None and time.monotonic() > deadline_at:
                 raise TimeBudgetExceeded
             classes = _run_subtree((position, rack, prefix, deadline_at))
-            if ckpt_dir is not None:
-                _store_checkpoint(_checkpoint_path(ckpt_dir, n, position), rack, prefix, classes)
-            finished[position] = classes
+            log.write(b" ".join(map(hexlify, [record, *classes])) + b"\n")
+            log.flush()
         return False
     except BaseException as exc:
         stop[0] = 1
@@ -550,17 +549,28 @@ def _run_subtrees(n: int, records, stop, ckpt_dir: Path | None, deadline_at, fin
         return True
 
 
-def _serve(result: int, n: int, queue: int, stop, ckpt_dir: Path | None, deadline_at) -> None:
-    """A helper's run, from its fork: the tasks from the queue, then the
-    classes of those it finished and whether time ran out, or the exception
-    it raised, sent as one pickle through the pipe's write end result.  It
-    leaves by `os._exit`, so that it runs no exit handler and flushes none
-    of the buffers it shares with the parent."""
-    try:
-        finished: dict = {}
+def _log_lines(log):
+    """The position, record and classes of each whole line of a log; a last
+    line without its newline was cut short, and its task is not done."""
+    for line in log:
+        if not line.endswith(b"\n"):
+            return
         try:
-            timed_out = _run_subtrees(n, _records(queue, n), stop, ckpt_dir, deadline_at, finished)
-            run = finished, timed_out
+            head, *hexes = line.split()
+            record, classes = unhexlify(head), list(map(unhexlify, hexes))
+        except ValueError as exc:
+            raise CheckpointMismatchError(f"checkpoint line {line[:40]!r} is not hex") from exc
+        yield int.from_bytes(record[1:5], "little"), record, classes
+
+
+def _serve(result: int, n: int, queue: int, stop, log, deadline_at) -> None:
+    """A helper's run, from its fork: the tasks from the queue, logged to
+    log, then whether time ran out, or the exception it raised, pickled to
+    the pipe's write end result.  It leaves by `os._exit`, running no exit
+    handler and flushing none of the buffers it shares with the parent."""
+    try:
+        try:
+            run = _run_subtrees(n, _records(queue, n), stop, log, deadline_at)
         except BaseException as exc:
             run = exc
         with open(result, "wb") as pipe:
@@ -570,14 +580,14 @@ def _serve(result: int, n: int, queue: int, stop, ckpt_dir: Path | None, deadlin
 
 
 def _run_tasks(
-    task: EnumerationTask, ckpt_dir: Path | None, deadline_at, found: dict
+    task: EnumerationTask, stored: dict, logs: list, deadline_at, found: dict
 ) -> tuple[list, bool]:
-    """The run's task list, or [] if the listing did not end, and whether
-    time ran out; the classes of each task loaded or run go into found.
+    """The run's tasks, or [] if the listing did not end, and whether time
+    ran out; a task loaded goes into found, one run into its process's log.
 
     The jobs - 1 helpers are forked first, and each runs the tasks it reads
     from the pipe (`_serve`).  As `subtree_tasks` then reaches a task, it
-    is loaded from its checkpoint or else queued: written to the pipe, or
+    is loaded from its stored line or else queued: written to the pipe, or
     kept in a backlog while the pipe is full, so that no helper, busy or
     dead, blocks the listing.  Once the listing ends, this process runs the
     backlog, moving each task the pipe has room for into it, then what the
@@ -604,11 +614,10 @@ def _run_tasks(
     def each(position: int, rack, prefix) -> None:
         if stop[0]:  # a helper stopped; it says why when it is joined
             raise TimeBudgetExceeded
-        if ckpt_dir is not None:
-            stored = _load_checkpoint(_checkpoint_path(ckpt_dir, n, position), rack, prefix)
-            if stored is not None:
-                found[position] = stored
-                return
+        classes = _load_checkpoint(stored, position, rack, prefix)
+        if classes is not None:
+            found[position] = classes
+            return
         backlog.append(_record(n, position, rack, prefix))
         flush()
 
@@ -629,7 +638,7 @@ def _run_tasks(
                 # chunk each time the search's recursion crosses the end of one,
                 # and from the listing's depth a helper's tasks at involutive n=6
                 # took 10,000 page faults instead of 1,300, and 40% longer
-                for _ in range(task.jobs - 1):
+                for log in logs[1:]:
                     r, w = os.pipe()
                     try:
                         pid = os.fork()
@@ -642,16 +651,16 @@ def _run_tasks(
                         # close of it, and tail would keep the queue open
                         for fd in [r, tail] + [fd for _, fd in helpers]:
                             os.close(fd)
-                        _serve(w, n, queue, stop, ckpt_dir, deadline_at)
+                        _serve(w, n, queue, stop, log, deadline_at)
                     os.close(w)
                     helpers.append((pid, r))
                 os.set_blocking(tail, False)
                 tasks = subtree_tasks(n, task.mode, _Deadline(deadline_at), each)
-                timed_out = _run_subtrees(n, unqueued(), stop, ckpt_dir, deadline_at, found)
+                timed_out = _run_subtrees(n, unqueued(), stop, logs[0], deadline_at)
             finally:  # the helpers' reads end once the queue is empty and closed
                 os.close(tail)
             queued = _records(queue, n)
-            timed_out = _run_subtrees(n, queued, stop, ckpt_dir, deadline_at, found) or timed_out
+            timed_out = _run_subtrees(n, queued, stop, logs[0], deadline_at) or timed_out
         except TimeBudgetExceeded:
             timed_out = True
         for pid, r in helpers:
@@ -662,8 +671,7 @@ def _run_tasks(
                 raise RuntimeError(f"helper process {pid} exited with no result") from exc
             if isinstance(run, BaseException):
                 raise run
-            found.update(run[0])
-            timed_out = timed_out or run[1]
+            timed_out = timed_out or run
     finally:
         if os.getpid() != parent:  # a helper interrupted before it could serve
             os._exit(1)
@@ -675,63 +683,32 @@ def _run_tasks(
     return tasks, timed_out
 
 
-def _checkpoint_path(directory: Path, n: int, position: int) -> Path:
-    return directory / f"n{n}-task{position:04d}.json"
+def _load_checkpoint(stored: dict, position: int, rack, prefix) -> list[bytes] | None:
+    """The classes of the task at position from its stored line, or None.
 
-
-def _checkpoint_header(rack, prefix) -> dict:
-    return {
-        "version": CHECKPOINT_VERSION,
-        "rack": [list(row) for row in rack],
-        "prefix": [list(row) for row in prefix],
-    }
-
-
-def _load_checkpoint(path: Path, rack, prefix) -> list[bytes] | None:
-    """The stored classes of a task, or None if it has no checkpoint.
-
-    The stored version, rack and prefix must be the task's, and each class
-    must decode to a valid solution of size n that is its own canonical
-    form, involutive exactly when the rack is trivial; anything else raises
-    CheckpointMismatchError, so that a damaged file never joins the result.
+    The stored record must be the task's `_record`, and each class must
+    decode to a valid solution of size n that is its own canonical form,
+    involutive exactly when the rack is trivial; anything else raises
+    CheckpointMismatchError, so that a damaged line never joins the result.
     """
-    if not path.exists():
+    if position not in stored:
         return None
+    record, classes = stored.pop(position)
     n = len(rack)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
-    header = _checkpoint_header(rack, prefix)
-    if not isinstance(data, dict) or any(data.get(k) != v for k, v in header.items()):
-        raise CheckpointMismatchError(
-            f"checkpoint {path} does not match this run (wanted {header})"
-        )
-    hexes = data.get("classes")
-    if not isinstance(hexes, list) or not all(isinstance(h, str) for h in hexes):
-        raise CheckpointMismatchError(f"checkpoint {path} has no list of classes")
+    if record != _record(n, position, rack, prefix):
+        raise CheckpointMismatchError(f"the line of task {position} does not match this run")
     trivial = all(row == tuple(range(n)) for row in rack)
-    blobs = []
-    for h in hexes:
+    for blob in classes:
         try:
-            blob = bytes.fromhex(h)
             sol = solutions.solution_from_canonical(blob)
         except ValueError as exc:
-            raise CheckpointMismatchError(f"checkpoint {path}: bad class {h!r}: {exc}") from exc
+            raise CheckpointMismatchError(f"task {position}: {blob.hex()}: {exc}") from exc
         if sol.size != n or sol.involutive != trivial or solutions.canonical_form(sol) != blob:
             raise CheckpointMismatchError(
-                f"checkpoint {path}: {h!r} is not a canonical class of size {n}"
+                f"task {position}: {blob.hex()} is not a canonical class of size {n}"
                 f" {'on' if trivial else 'off'} the trivial rack"
             )
-        blobs.append(blob)
-    return blobs
-
-
-def _store_checkpoint(path: Path, rack, prefix, classes: list[bytes]) -> None:
-    payload = {**_checkpoint_header(rack, prefix), "classes": [b.hex() for b in classes]}
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload))
-    tmp.replace(path)
+    return classes
 
 
 def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
@@ -739,7 +716,8 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
 
     Identical output for any `jobs` value: each class reaches one leaf of one
     task, so the result is the tasks' disjoint class lists, sorted together.
-    With a checkpoint directory, finished tasks are persisted and reused on resume.
+    The result is read back from the processes' logs, kept in the checkpoint
+    directory if there is one, whose logs a resumed run loads its tasks from.
     """
     task.validate()
     # the budget covers listing the tasks too, which takes about 40 s at
@@ -748,22 +726,40 @@ def enumerate_solutions(task: EnumerationTask) -> EnumerationResult:
         time.monotonic() + task.time_budget if task.time_budget is not None else None
     )
     n = task.size
-    ckpt_dir: Path | None = None
-    if task.checkpoint_dir is not None:
-        ckpt_dir = Path(task.checkpoint_dir)
+    name = f"n{n}-v{CHECKPOINT_VERSION}-"
+    stored: dict[int, list] = {}  # the record and classes of each stored task
+    ckpt_dir = None if task.checkpoint_dir is None else Path(task.checkpoint_dir)
+    if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
+        for path in ckpt_dir.glob(f"{name}*.log"):
+            with open(path, "rb") as log:
+                for position, *line in _log_lines(log):
+                    if stored.setdefault(position, line) is not line:
+                        raise CheckpointMismatchError(f"task {position} is stored twice")
 
     # the helpers are forked first and each task is queued as the listing
-    # reaches it, so they work while the parent lists: listing the 132
-    # tasks took a quarter of an involutive n=5 run at jobs=2, with one core
-    # idle.  All take tasks one at a time from the one queue, so a heavy
-    # task never holds up others queued behind it, and each helper hands
-    # back its classes once, at the end: one future per task ran involutive
-    # n=5 at jobs=2 20-35% slower on 2 cores, and a process pool's start and
-    # shutdown, with the parent idle, cost that run more than a second
-    # process saved
+    # reaches it, so they work while the parent lists: listing the 132 tasks
+    # took a quarter of an involutive n=5 run at jobs=2, with one core idle.
+    # All take tasks one at a time from the one queue, so a heavy task never
+    # holds up others queued behind it, and each logs a task as one line:
+    # one future per task ran involutive n=5 at jobs=2 20-35% slower on 2
+    # cores, and a process pool's start and shutdown, with the parent idle,
+    # cost that run more than a second process saved
     found: dict[int, list[bytes]] = {}  # the classes of each finished task
-    tasks, timed_out = _run_tasks(task, ckpt_dir, deadline_at, found)
+    with ExitStack() as stack:
+        logs = [
+            stack.enter_context(
+                tempfile.TemporaryFile() if ckpt_dir is None
+                else open(tempfile.mkstemp(".log", name, ckpt_dir)[0], "r+b")
+            )
+            for _ in range(task.jobs)
+        ]
+        tasks, timed_out = _run_tasks(task, stored, logs, deadline_at, found)
+        # each class was verified once, at its leaf
+        for log in logs:
+            log.seek(0)
+            for position, _, classes in _log_lines(log):
+                found[position] = classes
     if timed_out:
         done = f"/{len(tasks)} tasks done" if tasks else " tasks done, the listing unfinished"
         raise PartialResultError(

@@ -241,9 +241,24 @@ def test_enumerate_out_dir(capsys, tmp_path):
     )
     assert code == 0
     files = sorted(out_dir.glob("*.txt"))
-    assert len(files) == 4
+    assert [f.name for f in files] == [f"all-n2-{i:05d}.txt" for i in range(4)]
     for f in files:
         fileio.parse_text(f.read_text())  # each one parses as a solution
+
+
+def test_enumerate_out_dir_names_sort_in_stream_order(capsys, tmp_path, monkeypatch):
+    # all mode n=6 has 100,666 classes: past 99,999 the names are padded to
+    # the width of the last index, so that they sort in stream order
+    one = bytes(2)  # the class of size 1
+    result = enumeration.EnumerationResult(1, "all", [one] * 100_001, 100_001)
+    monkeypatch.setattr(enumeration, "enumerate_solutions", lambda task: result)
+    names = []
+    monkeypatch.setattr(cli.Path, "write_text", lambda path, *args, **kw: names.append(path.name))
+    code, _, _ = run_cli(capsys, "enumerate", "--size", "1", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert names[:2] == ["all-n1-000000.txt", "all-n1-000001.txt"]
+    assert names[-1] == "all-n1-100000.txt"
+    assert sorted(names) == names and len(set(names)) == 100_001
 
 
 def test_enumerate_cap_error(capsys):
@@ -464,36 +479,43 @@ def test_checkpoint_flag_stores_every_subtree(capsys, tmp_path):
     )
     assert code == 0
     assert out.strip() == "5"
-    from yangbaxter.enumeration import subtree_tasks
-
-    tasks = subtree_tasks(3, "involutive")
-    assert len(list(tmp_path.glob("n3-task*.json"))) == len(tasks)
+    tasks = enumeration.subtree_tasks(3, "involutive")
+    # one log for the one process, with one whole line per task
+    [log] = tmp_path.iterdir()
+    assert log.name.startswith("n3-v7-") and log.suffix == ".log"
+    assert log.read_bytes().count(b"\n") == len(tasks)
 
 
 def test_version_1_checkpoint_is_refused(capsys, tmp_path):
-    # the tasks changed with each version; the first task's file is read
-    (tmp_path / "n3-task0000.json").write_text(json.dumps(
+    # a line that is no task record, here a version-1 file's JSON, in a log
+    # under this version's name
+    (tmp_path / "n3-v7-old.log").write_text(json.dumps(
         {"version": 1, "mode": "involutive", "size": 3, "task": [0, 0], "classes": []}
-    ))
+    ) + "\n")
     code, _, err = run_cli(
         capsys, "enumerate", "--size", "3", "--involutive", "--checkpoint", str(tmp_path)
     )
     assert code == 2
-    assert "does not match this run" in err
+    assert "is not hex" in err
 
 
 def test_version_5_checkpoint_is_refused(capsys, tmp_path):
-    # version 5 stored the run's mode and size; a file under the current name
-    # that carries them, with its version, is refused
+    # the files of earlier versions, the version-5 names that carried the
+    # run's mode and the version-6 JSON file per task, are not read, though
+    # these list no classes: their tasks are searched again
+    tasks = enumeration.subtree_tasks(3, "involutive")
+    for i, (rack, prefix) in enumerate(tasks):
+        data = {"rack": [list(row) for row in rack], "prefix": [list(row) for row in prefix],
+                "classes": []}
+        (tmp_path / f"n3-task{i:04d}.json").write_text(json.dumps({**data, "version": 6}))
+        (tmp_path / f"involutive-n3-task{i:04d}.json").write_text(json.dumps(
+            {**data, "version": 5, "mode": "involutive", "size": 3}
+        ))
     args = ("enumerate", "--size", "3", "--involutive", "--count-only",
             "--checkpoint", str(tmp_path))
-    assert run_cli(capsys, *args)[0] == 0
-    path = tmp_path / "n3-task0000.json"
-    data = json.loads(path.read_text())
-    path.write_text(json.dumps({**data, "version": 5, "mode": "involutive", "size": 3}))
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2
-    assert "does not match this run" in err
+    assert run_cli(capsys, *args)[:2] == (0, "5\n")
+    [log] = tmp_path.glob("*.log")
+    assert log.read_bytes().count(b"\n") == len(tasks)
 
 
 def test_growth_radius_4_notes_guess_needs_more(capsys, tmp_path):

@@ -1,9 +1,11 @@
 import errno
 import hashlib
+import io
 import json
 import math
 import mmap
 import os
+import shutil
 import signal
 import sys
 import time
@@ -647,122 +649,185 @@ def test_parallel_output_is_deterministic():
     assert sequential.canonicals == parallel.canonicals
 
 
+def _logs(directory):
+    """The directory's task logs of this checkpoint version."""
+    return sorted(directory.glob(f"n*-v{enumeration.CHECKPOINT_VERSION}-*.log"))
+
+
+def _positions(path):
+    """The positions of the whole lines of a task log, in order."""
+    with open(path, "rb") as log:
+        return [position for position, _, _ in enumeration._log_lines(log)]
+
+
+def _logged(directory):
+    """The positions of the whole lines of the directory's logs, sorted."""
+    return sorted(chain.from_iterable(map(_positions, _logs(directory))))
+
+
+def _log_of(directory, position):
+    """The directory's log that holds the line of the task at position."""
+    [path] = [path for path in _logs(directory) if position in _positions(path)]
+    return path
+
+
+def _replace_line(directory, position, line):
+    """Put line in place of the line of the task at position."""
+    path = _log_of(directory, position)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[_positions(path).index(position)] = line
+    path.write_bytes(b"".join(lines))
+
+
 def test_checkpoint_resume(tmp_path):
     first = run(3, "involutive", checkpoint_dir=tmp_path)
-    files = list(tmp_path.glob("n3-task*.json"))
-    assert len(files) == len(trivial_keys(3))
+    assert len(_logs(tmp_path)) == 1
+    assert _logged(tmp_path) == list(range(len(trivial_keys(3))))
     again = run(3, "involutive", checkpoint_dir=tmp_path)
     assert again.canonicals == first.canonicals
 
 
-def test_checkpoint_of_version_4_is_rejected(tmp_path):
+def test_checkpoint_of_version_4_is_rejected(tmp_path, monkeypatch):
     # version 4 named the tasks of the search without the diagonal rule,
-    # whose positions differ, and version 5 files carried the run's mode;
-    # an earlier version under the current name is refused
-    run(3, "involutive", checkpoint_dir=tmp_path)
-    path = enumeration._checkpoint_path(tmp_path, 3, 0)
-    data = json.loads(path.read_text())
-    assert data["version"] == 6
-    path.write_text(json.dumps({**data, "version": 5, "mode": "involutive", "size": 3}))
-    with pytest.raises(CheckpointMismatchError):
-        run(3, "involutive", checkpoint_dir=tmp_path)
+    # whose positions differ, and versions 5 and 6 kept one JSON file per
+    # task; the version is in each log's name, and the logs of another
+    # version are not read, so their tasks are searched again
+    first = run(3, "involutive", checkpoint_dir=tmp_path)
+    assert enumeration.CHECKPOINT_VERSION == 7
+    [log] = _logs(tmp_path)
+    assert log.name.startswith("n3-v7-") and log.suffix == ".log"
+    log.rename(tmp_path / log.name.replace("-v7-", "-v6-"))
+    searched = _searched_racks(monkeypatch, tmp_path / "searched")
+    assert run(3, "involutive", checkpoint_dir=tmp_path).canonicals == first.canonicals
+    assert len(searched()) == len(trivial_keys(3))
 
 
 def test_checkpoint_mismatch_detected(tmp_path):
     run(3, "involutive", checkpoint_dir=tmp_path)
-    victim = next(tmp_path.glob("*.json"))
-    victim.write_text('{"version": 99}')
+    [victim] = _logs(tmp_path)
+    victim.write_text('{"version": 99}\n')
     with pytest.raises(CheckpointMismatchError):
         run(3, "involutive", checkpoint_dir=tmp_path)
 
 
+def test_a_log_line_cut_short_is_a_task_not_done(tmp_path, monkeypatch):
+    # a process stopped in the middle of writing a line leaves it without
+    # its newline: the resumed run searches that one task again, and logs
+    # it whole
+    first = run(5, "involutive", checkpoint_dir=tmp_path)
+    [log] = _logs(tmp_path)
+    log.write_bytes(log.read_bytes()[:-10])
+    assert _logged(tmp_path) == list(range(131))
+    searched = _searched_racks(monkeypatch, tmp_path / "searched")
+    assert run(5, "involutive", checkpoint_dir=tmp_path).canonicals == first.canonicals
+    assert searched() == [str(trivial_rack(5))]
+    assert _logged(tmp_path) == list(range(132))
+    monkeypatch.undo()
+    assert run(5, "involutive", checkpoint_dir=tmp_path).canonicals == first.canonicals
+
+
+def test_a_task_stored_in_two_logs_is_refused(tmp_path):
+    run(3, "involutive", checkpoint_dir=tmp_path)
+    [log] = _logs(tmp_path)
+    line = log.read_bytes().splitlines(keepends=True)[1]
+    (tmp_path / f"n3-v{enumeration.CHECKPOINT_VERSION}-copy.log").write_bytes(line)
+    with pytest.raises(CheckpointMismatchError, match="task 1 is stored twice"):
+        run(3, "involutive", checkpoint_dir=tmp_path)
+
+
 # the faults an all-mode run reads: a non-involutive class in the first
-# task's file, on the trivial rack, and an involutive one in the last task's,
+# task's line, on the trivial rack, and an involutive one in the last task's,
 # on another rack
 ALL_MODE_FAULTS = ["not involutive, in all mode", "involutive, on another rack"]
 
 
 def _damaged_task(fault) -> int:
-    """The position of the size-3 task whose checkpoint holds the fault."""
+    """The position of the size-3 task whose line holds the fault."""
     return len(enumeration.subtree_tasks(3, "all")) - 1 if fault == ALL_MODE_FAULTS[1] else 0
 
 
-def _damaged_checkpoint(fault):
-    rack, prefix = enumeration.subtree_tasks(3, "all")[_damaged_task(fault)]
-    header = {
-        "version": enumeration.CHECKPOINT_VERSION,
-        "rack": [list(row) for row in rack],
-        "prefix": [list(row) for row in prefix],
-    }
-    if fault == "no classes":
-        return header
-    if fault == "not an object":
-        return [header]
+def _damaged_line(fault) -> bytes:
+    position = _damaged_task(fault)
+    rack, prefix = enumeration.subtree_tasks(3, "all")[position]
+    record = enumeration._record(3, position, rack, prefix)
+    if fault == "not hex":  # a version-6 checkpoint's JSON
+        return json.dumps({"version": 6, "classes": []}).encode() + b"\n"
+    if fault == "short record":
+        return record[:-1].hex().encode() + b"\n"
     if fault == "bad hex":
-        return {**header, "classes": ["zz"]}
-    if fault == "short blob":
-        return {**header, "classes": ["00"]}
-    if fault == "wrong size":
-        blob = run(2, "involutive").canonicals[0]
-    elif fault == "not canonical":
-        sol = solutions.solution_from_canonical(run(3, "involutive").canonicals[-1])
-        blob = max(
-            bytes(chain.from_iterable(r.sigma + r.tau))
-            for r in (solutions.relabel(sol, g) for g in all_perms(3))
-        )
-    elif fault == ALL_MODE_FAULTS[1]:  # a valid canonical class, but involutive
-        blob = run(3, "involutive").canonicals[0]
-    else:  # a valid canonical class, but not involutive
-        full = run(3, "all")
-        blob = next(b for b, s in zip(full.canonicals, classes_of(full)) if not s.involutive)
-    return {**header, "classes": [blob.hex()]}
+        hexes = "zz"
+    elif fault == "short blob":
+        hexes = "00"
+    else:
+        if fault == "wrong size":
+            blob = run(2, "involutive").canonicals[0]
+        elif fault == "not canonical":
+            sol = solutions.solution_from_canonical(run(3, "involutive").canonicals[-1])
+            blob = max(
+                bytes(chain.from_iterable(r.sigma + r.tau))
+                for r in (solutions.relabel(sol, g) for g in all_perms(3))
+            )
+        elif fault == ALL_MODE_FAULTS[1]:  # a valid canonical class, but involutive
+            blob = run(3, "involutive").canonicals[0]
+        else:  # a valid canonical class, but not involutive
+            full = run(3, "all")
+            blob = next(b for b, s in zip(full.canonicals, classes_of(full)) if not s.involutive)
+        hexes = blob.hex()
+    return f"{record.hex()} {hexes}\n".encode()
 
 
 @pytest.mark.parametrize(
     "fault",
-    ["no classes", "not an object", "bad hex", "short blob", "wrong size",
+    ["short record", "not hex", "bad hex", "short blob", "wrong size",
      "not canonical", "not involutive", *ALL_MODE_FAULTS],
 )
 def test_damaged_checkpoint_is_rejected(tmp_path, fault):
     mode = "all" if fault in ALL_MODE_FAULTS else "involutive"
     run(3, mode, checkpoint_dir=tmp_path)
-    path = enumeration._checkpoint_path(tmp_path, 3, _damaged_task(fault))
-    path.write_text(json.dumps(_damaged_checkpoint(fault)))
+    _replace_line(tmp_path, _damaged_task(fault), _damaged_line(fault))
     with pytest.raises(CheckpointMismatchError):
         run(3, mode, checkpoint_dir=tmp_path)
 
 
-def _searched_racks(monkeypatch) -> list:
-    """The racks of the tasks `_search` runs from now on, not counting the
-    listing's search, which stops at depth 2."""
-    searched = []
+def _searched_racks(monkeypatch, path):
+    """The racks of the tasks `_search` runs from now on, in this process or
+    a helper, not counting the listing's search, which stops at depth 2: a
+    function that reads them back from the file at path."""
     search = enumeration._search
 
     def spy(n, rack, prefix, deadline, stop=None, reach=None):
         if stop is None:
-            searched.append(rack)
+            with open(path, "a") as searched:
+                searched.write(f"{rack}\n")
         return search(n, rack, prefix, deadline, stop, reach)
 
     monkeypatch.setattr(enumeration, "_search", spy)
-    return searched
+    return lambda: path.read_text().splitlines() if path.exists() else []
 
 
 def test_involutive_checkpoints_resume_an_all_mode_run(tmp_path, monkeypatch):
-    # the trivial rack's tasks head the all-mode list, under the same names
-    run(5, "involutive", checkpoint_dir=tmp_path)
-    searched = _searched_racks(monkeypatch)
-    resumed = run(5, "all", cap=5, checkpoint_dir=tmp_path)
-    assert len(searched) == len(enumeration.racks(5)) - 1
-    assert trivial_rack(5) not in searched
-    assert digest(resumed.canonicals) == ALL_5_DIGEST
-    assert resumed.counts() == {"involutive": 88, "non_involutive": 3519, "total": 3607}
+    # the trivial rack's tasks head the all-mode list, at the same
+    # positions; a directory written with --jobs 3 holds one log per
+    # process, and a run with any --jobs resumes from it
+    written = tmp_path / "jobs3"
+    run(5, "involutive", jobs=3, checkpoint_dir=written)
+    assert len(_logs(written)) == 3
+    for jobs in (1, 2):
+        ckpt = shutil.copytree(written, tmp_path / f"jobs{jobs}")
+        searched = _searched_racks(monkeypatch, tmp_path / f"searched{jobs}")
+        resumed = run(5, "all", cap=5, jobs=jobs, checkpoint_dir=ckpt)
+        monkeypatch.undo()
+        assert sorted(searched()) == sorted(map(str, enumeration.racks(5)[1:]))
+        assert digest(resumed.canonicals) == ALL_5_DIGEST
+        assert resumed.counts() == {"involutive": 88, "non_involutive": 3519, "total": 3607}
+        assert len(_logs(ckpt)) == 3 + jobs
 
 
 def test_all_mode_checkpoints_resume_an_involutive_run(tmp_path, monkeypatch):
     run(5, "all", cap=5, checkpoint_dir=tmp_path)
-    searched = _searched_racks(monkeypatch)
+    searched = _searched_racks(monkeypatch, tmp_path / "searched")
     resumed = run(5, "involutive", checkpoint_dir=tmp_path)
-    assert searched == []
+    assert searched() == []
     monkeypatch.undo()
     assert resumed.canonicals == run(5, "involutive").canonicals
 
@@ -770,19 +835,19 @@ def test_all_mode_checkpoints_resume_an_involutive_run(tmp_path, monkeypatch):
 def test_checkpoint_of_another_rack_is_rejected(tmp_path):
     first = run(3, "all", checkpoint_dir=tmp_path)
     assert run(3, "all", checkpoint_dir=tmp_path).canonicals == first.canonicals
-    # the first task's checkpoint, naming the last task's rack or the second
+    # the first task's line, naming the last task's rack or the second
     # task's prefix, is refused, though its classes are valid
     tasks = enumeration.subtree_tasks(3, "all")
-    path = enumeration._checkpoint_path(tmp_path, 3, 0)
-    stored = path.read_text()
-    for field, table in [("rack", tasks[-1][0]), ("prefix", tasks[1][1])]:
-        data = json.loads(stored)
-        assert data[field] != [list(row) for row in table]
-        data[field] = [list(row) for row in table]
-        path.write_text(json.dumps(data))
-        with pytest.raises(CheckpointMismatchError):
+    log = _log_of(tmp_path, 0)
+    stored = log.read_bytes()
+    head, classes = stored.splitlines(keepends=True)[0].split(b" ", 1)
+    assert head == enumeration._record(3, 0, *tasks[0]).hex().encode()
+    for task in [(tasks[-1][0], ()), (tasks[0][0], tasks[1][1])]:
+        record = enumeration._record(3, 0, *task).hex().encode()
+        _replace_line(tmp_path, 0, record + b" " + classes)
+        with pytest.raises(CheckpointMismatchError, match="does not match this run"):
             run(3, "all", checkpoint_dir=tmp_path)
-    path.write_text(stored)
+    log.write_bytes(stored)
     assert run(3, "all", checkpoint_dir=tmp_path).canonicals == first.canonicals
 
 
@@ -803,7 +868,7 @@ def test_time_budget_yields_partial_result_error(tmp_path, monkeypatch):
     assert exc.value.total_tasks == total
     assert 0 < len(exc.value.completed_tasks) < total
     # completed subtrees are persisted for resume
-    assert len(list(tmp_path.glob("*.json"))) == len(exc.value.completed_tasks)
+    assert _logged(tmp_path) == exc.value.completed_tasks
 
 
 def test_past_deadline_stops_a_subtree_at_its_4096th_cell_assignment():
@@ -980,7 +1045,7 @@ def test_parallel_time_budget_keeps_finished_subtrees(tmp_path, monkeypatch):
         run(4, "involutive", jobs=2, checkpoint_dir=ckpt)
     # every subtree that returned is recorded and checkpointed ...
     assert exc.value.completed_tasks == _marked(returned)
-    assert len(list(ckpt.glob("*.json"))) == len(_marked(returned))
+    assert _logged(ckpt) == _marked(returned)
     # ... and the queued ones were dropped, not run
     assert len(_marked(started)) < len(tasks)
 
@@ -989,37 +1054,37 @@ def test_finished_subtree_is_checkpointed_before_the_next_one_starts(
     tmp_path, monkeypatch
 ):
     # the process runs out of time on its second subtree: by then the first
-    # is on disk, and the stop byte is set so no other process starts more
+    # is a whole line of its log on disk, and the stop byte is set so no
+    # other process starts more
     tasks = enumeration.subtree_tasks(4, "involutive")
     real = enumeration._run_subtree
+    path = tmp_path / "log"
     on_disk = []
 
     def run_subtree(args):
         if args[0] == 1:
-            on_disk.extend(tmp_path.glob("*.json"))
+            on_disk.extend(_positions(path))
             raise enumeration.TimeBudgetExceeded
         return real(args)
 
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
     records, stop = _records(tasks)
-    finished = {}
-    assert enumeration._run_subtrees(4, records, stop, tmp_path, None, finished)
+    with open(path, "w+b") as log:
+        assert enumeration._run_subtrees(4, records, stop, log, None)
     assert stop[0]
-    assert list(finished) == [0]
-    first = enumeration._checkpoint_path(tmp_path, 4, 0)
-    assert on_disk == [first]
+    assert on_disk == _positions(path) == [0]
 
 
 def test_worker_stops_at_the_deadline_between_subtrees():
     # subtrees this small never reach the in-search clock check
     tasks = enumeration.subtree_tasks(3, "involutive")
     records, stop = _records(tasks)
-    finished = {}
-    assert enumeration._run_subtrees(3, records, stop, None, time.monotonic() - 1, finished)
-    assert stop[0] and finished == {}
+    log = io.BytesIO()
+    assert enumeration._run_subtrees(3, records, stop, log, time.monotonic() - 1)
+    assert stop[0] and log.getvalue() == b""
     records, stop = _records(tasks)
-    assert not enumeration._run_subtrees(3, records, stop, None, None, finished)
-    assert len(finished) == len(tasks)
+    assert not enumeration._run_subtrees(3, records, stop, log, None)
+    assert len(log.getvalue().splitlines()) == len(tasks)
 
 
 def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatch):
@@ -1047,7 +1112,7 @@ def test_interrupted_parallel_run_starts_no_further_subtree(tmp_path, monkeypatc
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
     with pytest.raises(KeyboardInterrupt):
         run(4, "involutive", jobs=2, checkpoint_dir=ckpt)
-    assert len(list(ckpt.glob("*.json"))) == len(_marked(returned)) == 1
+    assert _logged(ckpt) == _marked(returned) and len(_marked(returned)) == 1
     assert len(_marked(started)) == 2 < len(tasks)
 
 
@@ -1114,11 +1179,11 @@ def test_a_helper_starts_a_task_before_the_listing_ends(tmp_path, monkeypatch):
         listed.append(len(tasks))
         return tasks
 
-    def load(path, rack, prefix):
-        if path.name.endswith("task0002.json"):
+    def load(stored, position, rack, prefix):
+        if position == 2:
             _wait_for(started.exists)
             seen.append((started.exists(), list(listed)))
-        return real_load(path, rack, prefix)
+        return real_load(stored, position, rack, prefix)
 
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
     monkeypatch.setattr(enumeration, "subtree_tasks", listing)
@@ -1194,11 +1259,11 @@ def test_a_helper_that_fails_stops_the_listing(tmp_path, monkeypatch):
         listed.append(len(tasks))
         return tasks
 
-    def load(path, rack, prefix):
-        if path.name.endswith("task0002.json"):
+    def load(stored, position, rack, prefix):
+        if position == 2:
             # the helper has exited, unreaped, once waitid reports it
             _wait_for(lambda: os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT))
-        return real_load(path, rack, prefix)
+        return real_load(stored, position, rack, prefix)
 
     monkeypatch.setattr(enumeration, "_run_subtree", run_subtree)
     monkeypatch.setattr(enumeration, "subtree_tasks", listing)
@@ -1211,13 +1276,14 @@ def test_a_helper_that_fails_stops_the_listing(tmp_path, monkeypatch):
 def test_a_damaged_checkpoint_listed_after_the_fork_stops_the_run(tmp_path, monkeypatch):
     # the first ten tasks are pending, and the helper, forked before the
     # listing, takes them at 0.2 s a task; the listing reaches the last task,
-    # whose checkpoint is damaged, and the helper stops after the one it is on
+    # whose line holds a damaged class, and the helper stops after the one
+    # it is on
     ckpt, started = tmp_path / "ckpt", tmp_path / "started"
     run(5, "involutive", checkpoint_dir=ckpt)
-    paths = sorted(ckpt.glob("*.json"))
-    for path in paths[:10]:
-        path.unlink()
-    paths[-1].write_text('{"version": 99}')
+    [log] = _logs(ckpt)
+    lines = log.read_bytes().splitlines(keepends=True)
+    assert _positions(log) == list(range(132))
+    log.write_bytes(b"".join(lines[10:-1]) + lines[-1].split()[0] + b" 00\n")
     real = enumeration._run_subtree
 
     def run_subtree(args):
@@ -1246,11 +1312,11 @@ def test_a_time_budget_spent_in_the_listing_keeps_the_helpers_tasks(tmp_path, mo
         listed.append(len(tasks))
         return tasks
 
-    def load(path, rack, prefix):
-        if path.name.endswith("task0002.json"):
-            _wait_for(lambda: any(tmp_path.glob("*.json")))
+    def load(stored, position, rack, prefix):
+        if position == 2:
+            _wait_for(lambda: _logged(tmp_path))
             time.sleep(budget)
-        return real_load(path, rack, prefix)
+        return real_load(stored, position, rack, prefix)
 
     monkeypatch.setattr(enumeration, "subtree_tasks", listing)
     monkeypatch.setattr(enumeration, "_load_checkpoint", load)
@@ -1259,7 +1325,7 @@ def test_a_time_budget_spent_in_the_listing_keeps_the_helpers_tasks(tmp_path, mo
     assert listed == []
     assert exc.value.total_tasks == 0
     completed = exc.value.completed_tasks
-    assert completed == sorted(int(p.stem[-4:]) for p in tmp_path.glob("*.json"))
+    assert completed == _logged(tmp_path)
     assert completed
 
 
@@ -1283,7 +1349,7 @@ def test_a_helper_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="exited with no result"):
         run(4, "involutive", jobs=2, checkpoint_dir=ckpt)
     assert died.exists()
-    assert len(list(ckpt.glob("*.json"))) == len(tasks) - 1
+    assert len(_logged(ckpt)) == len(tasks) - 1
 
 
 def test_a_helper_leaves_the_parents_pending_output_alone(tmp_path, monkeypatch, capsys):

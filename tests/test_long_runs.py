@@ -8,11 +8,13 @@ A checkpoint directory makes interrupted runs resumable:
 
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 from conftest import classes_of
 from oracles import labeled_involutive_count, orbit_sum
 
+from yangbaxter import enumeration
 from yangbaxter.cli import main
 from yangbaxter.enumeration import EnumerationTask, enumerate_solutions
 
@@ -35,34 +37,44 @@ ALL_6_DIGEST = "ad4a45b72ab11f2d023dd8429c7e9e29cf08acd39db334eefaacf0a5c71e6fdd
 ALL_6_STREAM_DIGEST = "62d78be6597e421b53b6e11fb89cd85d0e9de65378ccde3f05386463598ccba4"
 
 
-def test_involutive_size_7(tmp_path):
-    # about 20 s with 2 jobs
-    result = enumerate_solutions(
-        EnumerationTask(
-            size=7,
-            mode="involutive",
-            cap=7,
-            jobs=os.cpu_count() or 2,
-            checkpoint_dir=os.environ.get("YBX_CHECKPOINT_DIR", tmp_path),
-        )
-    )
+def _run_and_resume(tmp_path, monkeypatch, **task):
+    """The run with one job per core and a checkpoint directory, which holds
+    one log per process when it starts empty; a second run over it, in one
+    process, loads every task, searches none and gives the same classes."""
+    directory = Path(os.environ.get("YBX_CHECKPOINT_DIR", tmp_path))
+    fresh = not directory.exists() or not any(directory.iterdir())
+    jobs = os.cpu_count() or 2
+    result = enumerate_solutions(EnumerationTask(jobs=jobs, checkpoint_dir=directory, **task))
+    if fresh:
+        logs = directory.glob(f"n{task['size']}-v{enumeration.CHECKPOINT_VERSION}-*.log")
+        assert len(list(logs)) == len(list(directory.iterdir())) == jobs
+    searched = []
+    search = enumeration._search
+
+    def spy(n, rack, prefix, deadline, stop=None, reach=None):
+        if stop is None:
+            searched.append((rack, prefix))
+        return search(n, rack, prefix, deadline, stop, reach)
+
+    monkeypatch.setattr(enumeration, "_search", spy)
+    again = enumerate_solutions(EnumerationTask(jobs=1, checkpoint_dir=directory, **task))
+    assert searched == []
+    assert again.canonicals == result.canonicals
+    return result
+
+
+def test_involutive_size_7(tmp_path, monkeypatch):
+    # about 20 s with 2 jobs, and a resume
+    result = _run_and_resume(tmp_path, monkeypatch, size=7, mode="involutive", cap=7)
     assert result.total == INVOLUTIVE_REFERENCE[7]
     assert hashlib.sha256(b"".join(sorted(result.canonicals))).hexdigest() == INVOLUTIVE_7_DIGEST
 
 
-def test_all_mode_size_6(tmp_path):
-    # about 30 s with 2 jobs; 100,071 non-involutive classes, as in the
-    # table of Akguen-Mereb-Vendramin (Math. Comp. 91 (2022)), and the 595
-    # involutive ones
-    result = enumerate_solutions(
-        EnumerationTask(
-            size=6,
-            mode="all",
-            cap=6,
-            jobs=os.cpu_count() or 2,
-            checkpoint_dir=os.environ.get("YBX_CHECKPOINT_DIR", tmp_path),
-        )
-    )
+def test_all_mode_size_6(tmp_path, monkeypatch):
+    # about 30 s with 2 jobs, and a resume; 100,071 non-involutive classes,
+    # as in the table of Akguen-Mereb-Vendramin (Math. Comp. 91 (2022)),
+    # and the 595 involutive ones
+    result = _run_and_resume(tmp_path, monkeypatch, size=6, mode="all", cap=6)
     assert result.counts() == {
         "involutive": 595, "non_involutive": 100071, "total": 100666
     }
